@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
-from mdm.market import InstanceError
+from mdm.market import InstanceError, load_json_object
 
 Assignment = tuple  # item index or None per bidder
 
@@ -157,8 +157,8 @@ def menu_additive(i: int, v: ValuationMatrix) -> tuple[int, ...]:
     )
 
 
-def _best_welfare(rows: Sequence[Sequence[int]], allowed: int) -> int:
-    """Maximum total value of an assignment using only items in ``allowed``."""
+def _welfare(rows: Sequence[Sequence[int]], allowed: int) -> Callable[[int, int], int]:
+    """Memoised best(k, used): the top value bidders k.. reach on items in ``allowed`` but not ``used``."""
     memo: dict[tuple[int, int], int] = {}
 
     def best(k: int, used: int) -> int:
@@ -176,7 +176,7 @@ def _best_welfare(rows: Sequence[Sequence[int]], allowed: int) -> int:
         memo[k, used] = out
         return out
 
-    return best(0, 0)
+    return best
 
 
 def max_weight_matching(v: ValuationMatrix) -> Assignment:
@@ -188,24 +188,8 @@ def max_weight_matching(v: ValuationMatrix) -> Assignment:
     grows with bidders times two to the number of items.
     """
     validate_matrix(v)
-    memo: dict[tuple[int, int], int] = {}
     rows = v.values
-
-    def best(k: int, used: int) -> int:
-        if k == len(rows):
-            return 0
-        try:
-            return memo[k, used]
-        except KeyError:
-            pass
-        out = best(k + 1, used)
-        for j, value in enumerate(rows[k]):
-            bit = 1 << j
-            if not used & bit:
-                out = max(out, value + best(k + 1, used | bit))
-        memo[k, used] = out
-        return out
-
+    best = _welfare(rows, (1 << v.n_items) - 1)
     assignment: list[int | None] = []
     used = 0
     for k in range(len(rows)):
@@ -238,7 +222,7 @@ def vcg_unit_demand(v: ValuationMatrix) -> AuctionOutcome:
     for i, j in enumerate(assignment):
         others = v.values[:i] + v.values[i + 1 :]
         own = v.values[i][j] if j is not None else 0
-        prices.append(_best_welfare(others, full) - (welfare - own))
+        prices.append(_welfare(others, full)(0, 0) - (welfare - own))
         allocation.append(frozenset() if j is None else frozenset({j}))
     return AuctionOutcome(tuple(allocation), tuple(prices))
 
@@ -255,20 +239,13 @@ def menu_unit_demand(i: int, v: ValuationMatrix) -> tuple[int, ...]:
         raise InstanceError(f"no bidder {i}")
     others = v.values[:i] + v.values[i + 1 :]
     full = (1 << v.n_items) - 1
-    base = _best_welfare(others, full)
-    return tuple(base - _best_welfare(others, full & ~(1 << j)) for j in range(v.n_items))
+    base = _welfare(others, full)(0, 0)
+    return tuple(base - _welfare(others, full & ~(1 << j))(0, 0) for j in range(v.n_items))
 
 
 def parse_auction(raw: bytes | str) -> ValuationMatrix:
     """Parse the JSON auction format {"K": ..., "values": [[...], ...]}."""
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as err:
-        raise InstanceError(f"malformed JSON: {err}") from err
-    if not isinstance(doc, dict):
-        raise InstanceError("top level: expected an object")
+    doc = load_json_object(raw)
     problems = [f"top level: unknown field {key!r}" for key in sorted(set(doc) - {"K", "values"})]
     if "K" not in doc:
         problems.append("top level: missing field 'K'")

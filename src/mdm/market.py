@@ -10,9 +10,9 @@ sentinel agent.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 APPLICANT = "applicant"
 INSTITUTION = "institution"
@@ -25,11 +25,15 @@ class InstanceError(ValueError):
     """An instance file, Profile, or Matching violates the data contract."""
 
 
-class AgentId(NamedTuple):
-    """One agent: which side it is on and its index within that side."""
+RankTable = tuple[dict[int, int], ...]
 
-    side: str
-    index: int
+
+def _rank_row(ranked: tuple[int, ...]) -> dict[int, int]:
+    return {x: r for r, x in enumerate(ranked)}
+
+
+def _rank_table(lists: tuple[tuple[int, ...], ...]) -> RankTable:
+    return tuple(_rank_row(l) for l in lists)
 
 
 class BlockingPair(NamedTuple):
@@ -43,8 +47,10 @@ class BlockingPair(NamedTuple):
 class Profile:
     """Applicants' preference lists plus institutions' priority lists.
 
-    Immutable after construction; index lookups are cached on first use.
-    ``capacities`` defaults to one seat per institution.
+    Immutable after construction; index lookups and a pass of validate_profile
+    are cached on first use. ``capacities`` defaults to one seat per
+    institution. Profiles derived through ``_derive`` carry their parent's pass
+    and share the rank tables that did not change.
     """
 
     applicant_names: tuple[str, ...]
@@ -52,6 +58,8 @@ class Profile:
     applicant_prefs: tuple[tuple[int, ...], ...]
     institution_prios: tuple[tuple[int, ...], ...]
     capacities: tuple[int, ...] = ()
+
+    _checked = False  # set on the instance by a pass of validate_profile
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "applicant_names", tuple(self.applicant_names))
@@ -65,6 +73,28 @@ class Profile:
         caps = tuple(self.capacities) or (1,) * len(self.institution_names)
         object.__setattr__(self, "capacities", caps)
 
+    @classmethod
+    def _derive(
+        cls, names_d, names_h, prefs, prios, caps=(), *, checked: bool,
+        applicant_rank: Callable[[], RankTable] | None = None,
+        institution_rank: Callable[[], RankTable] | None = None,
+    ) -> Profile:
+        """Build from fields that are already tuples of tuples, skipping __post_init__.
+
+        checked carries a validation pass, so pass it only where the construction
+        keeps every invariant; a rank argument supplies that table on first use.
+        """
+        q = object.__new__(cls)
+        vars(q).update(
+            applicant_names=names_d, institution_names=names_h, applicant_prefs=prefs,
+            institution_prios=prios, capacities=caps or (1,) * len(names_h), _checked=checked,
+            _rank_sources={APPLICANT: applicant_rank, INSTITUTION: institution_rank},
+        )
+        return q
+
+    def __reduce__(self):  # pickle the fields only, not the pass or the rank sources
+        return Profile, tuple(getattr(self, f.name) for f in fields(self))
+
     @property
     def n_applicants(self) -> int:
         return len(self.applicant_names)
@@ -77,15 +107,19 @@ class Profile:
     def unit_capacity(self) -> bool:
         return all(c == 1 for c in self.capacities)
 
-    @cached_property
-    def applicant_rank(self) -> tuple[dict[int, int], ...]:
-        """Per applicant: institution index -> rank (0 is best); unlisted is absent."""
-        return tuple({h: r for r, h in enumerate(l)} for l in self.applicant_prefs)
+    def _table(self, side: str, lists: tuple[tuple[int, ...], ...]) -> RankTable:
+        source = vars(self).get("_rank_sources", {}).pop(side, None)
+        return source() if source is not None else _rank_table(lists)
 
     @cached_property
-    def institution_rank(self) -> tuple[dict[int, int], ...]:
+    def applicant_rank(self) -> RankTable:
+        """Per applicant: institution index -> rank (0 is best); unlisted is absent."""
+        return self._table(APPLICANT, self.applicant_prefs)
+
+    @cached_property
+    def institution_rank(self) -> RankTable:
         """Per institution: applicant index -> rank (0 is best); unlisted is absent."""
-        return tuple({d: r for r, d in enumerate(l)} for l in self.institution_prios)
+        return self._table(INSTITUTION, self.institution_prios)
 
     @cached_property
     def applicant_index(self) -> dict[str, int]:
@@ -95,35 +129,36 @@ class Profile:
     def institution_index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.institution_names)}
 
-    def agent(self, name: str) -> AgentId:
-        """Look an agent up by name on either side."""
-        if name in self.applicant_index:
-            return AgentId(APPLICANT, self.applicant_index[name])
-        if name in self.institution_index:
-            return AgentId(INSTITUTION, self.institution_index[name])
-        raise InstanceError(f"unknown agent name {name!r}")
-
     def with_prefs(self, applicant: int, prefs: Iterable[int]) -> Profile:
-        """Copy of this profile with one applicant's list replaced."""
-        lists = list(self.applicant_prefs)
-        lists[applicant] = tuple(prefs)
-        return replace(self, applicant_prefs=tuple(lists))
+        """Copy of this profile with one applicant's list replaced.
 
-    def with_prios(self, institution: int, prios: Iterable[int]) -> Profile:
-        """Copy of this profile with one institution's list replaced."""
-        lists = list(self.institution_prios)
-        lists[institution] = tuple(prios)
-        return replace(self, institution_prios=tuple(lists))
+        The copy shares this profile's institution table and rebuilds one row of
+        its applicant table. It stays checked if this profile is and the new
+        list passes the per-list check.
+        """
+        lists, new = list(self.applicant_prefs), tuple(prefs)
+        lists[applicant] = new
+
+        def applicant_rank() -> RankTable:
+            rows = list(self.applicant_rank)
+            rows[applicant] = _rank_row(new)
+            return tuple(rows)
+
+        checked = self._checked and not _list_problems(APPLICANT, applicant, new, self.n_institutions)
+        return Profile._derive(
+            self.applicant_names, self.institution_names, tuple(lists), self.institution_prios,
+            self.capacities, checked=checked, applicant_rank=applicant_rank,
+            institution_rank=lambda: self.institution_rank,
+        )
 
     def transposed(self) -> Profile:
-        """Swap the two sides. Requires unit capacities."""
+        """Swap the two sides, and with them the two rank tables. Requires unit capacities."""
         if not self.unit_capacity:
             raise InstanceError("cannot transpose a profile with capacities above 1")
-        return Profile(
-            applicant_names=self.institution_names,
-            institution_names=self.applicant_names,
-            applicant_prefs=self.institution_prios,
-            institution_prios=self.applicant_prefs,
+        return Profile._derive(
+            self.institution_names, self.applicant_names, self.institution_prios, self.applicant_prefs,
+            checked=self._checked, applicant_rank=lambda: self.institution_rank,
+            institution_rank=lambda: self.applicant_rank,
         )
 
 
@@ -162,8 +197,19 @@ class Matching:
         return self.by_applicant.get(applicant)
 
 
-def validate_profile(p: Profile) -> None:
-    """Raise InstanceError listing every violated Profile invariant."""
+def _list_problems(side: str, owner: int, ranked: tuple[int, ...], bound: int) -> list[str]:
+    """Problems of one ranked list whose entries index the other side's 0..bound-1."""
+    other = INSTITUTION if side == APPLICANT else APPLICANT
+    problems = []
+    if len(set(ranked)) != len(ranked):
+        problems.append(f"{side} {owner} lists some {other} twice")
+    for x in ranked:
+        if not 0 <= x < bound:
+            problems.append(f"{side} {owner} lists invalid {other} index {x}")
+    return problems
+
+
+def _profile_problems(p: Profile) -> list[str]:
     problems: list[str] = []
     n, m = p.n_applicants, p.n_institutions
     if len(p.applicant_prefs) != n:
@@ -184,22 +230,37 @@ def validate_profile(p: Profile) -> None:
     for name in sorted(shared):
         problems.append(f"name {name!r} is used on both sides")
     for d, prefs in enumerate(p.applicant_prefs):
-        if len(set(prefs)) != len(prefs):
-            problems.append(f"applicant {d} lists some institution twice")
-        for h in prefs:
-            if not 0 <= h < m:
-                problems.append(f"applicant {d} lists invalid institution index {h}")
+        problems += _list_problems(APPLICANT, d, prefs, m)
     for h, prios in enumerate(p.institution_prios):
-        if len(set(prios)) != len(prios):
-            problems.append(f"institution {h} lists some applicant twice")
-        for d in prios:
-            if not 0 <= d < n:
-                problems.append(f"institution {h} lists invalid applicant index {d}")
+        problems += _list_problems(INSTITUTION, h, prios, n)
     for h, cap in enumerate(p.capacities):
         if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
             problems.append(f"institution {h} has invalid capacity {cap!r}")
+    return problems
+
+
+def validate_profile(p: Profile) -> None:
+    """Raise InstanceError listing every violated Profile invariant.
+
+    A pass is remembered on the profile, so checking it again costs O(1);
+    a failing profile is checked in full on every call.
+    """
+    if p._checked:
+        return
+    problems = _profile_problems(p)
     if problems:
         raise InstanceError("\n".join(problems))
+    vars(p)["_checked"] = True
+
+
+def _check_applicant(p: Profile, i: int) -> None:
+    if not 0 <= i < p.n_applicants:
+        raise InstanceError(f"applicant index {i} out of range for {p.n_applicants} applicants")
+
+
+def _require_unit(p: Profile) -> None:
+    if not p.unit_capacity:
+        raise InstanceError("this operation requires capacity 1 everywhere")
 
 
 def validate_matching(p: Profile, m: Matching) -> None:
@@ -260,6 +321,27 @@ def matched_sets(m: Matching) -> tuple[frozenset[int], frozenset[int]]:
     )
 
 
+def load_json_object(raw: bytes | str) -> dict:
+    """Decode a JSON document whose top level is an object.
+
+    Any other input, including bytes that are not UTF-8 and nesting too deep
+    to decode, raises InstanceError.
+    """
+    try:
+        if isinstance(raw, bytes):
+            raw = raw.decode("utf-8")
+        doc = json.loads(raw)
+    except UnicodeDecodeError as err:
+        raise InstanceError(f"not UTF-8 text: {err}") from err
+    except RecursionError:
+        raise InstanceError("malformed JSON: nested too deeply") from None
+    except ValueError as err:  # JSONDecodeError, or an integer literal too long to convert
+        raise InstanceError(f"malformed JSON: {err}") from err
+    if not isinstance(doc, dict):
+        raise InstanceError("top level: expected an object")
+    return doc
+
+
 def _check_name(name: object, path: str, problems: list[str]) -> None:
     if not isinstance(name, str) or not name:
         problems.append(f"{path}: name must be a nonempty string")
@@ -299,14 +381,7 @@ def parse_instance(raw: bytes | str) -> Profile:
     profile reproduces it exactly. Every problem is reported with the path
     of the offending entry.
     """
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as err:
-        raise InstanceError(f"malformed JSON: {err}") from err
-    if not isinstance(doc, dict):
-        raise InstanceError("top level: expected an object")
+    doc = load_json_object(raw)
     problems: list[str] = []
     for key in sorted(set(doc) - {"applicants", "institutions"}):
         problems.append(f"top level: unknown field {key!r}")
@@ -316,11 +391,12 @@ def parse_instance(raw: bytes | str) -> Profile:
         raise InstanceError("\n".join(problems))
 
     def index_by_name(records: list[dict], path: str) -> dict[str, int]:
-        names = [rec["name"] for rec in records]
-        for k, name in enumerate(names):
-            if names.index(name) != k:
-                problems.append(f"{path}[{k}]: duplicate name {name!r}")
-        return {name: i for i, name in enumerate(sorted(set(names)))}
+        seen: set[str] = set()
+        for k, rec in enumerate(records):
+            if rec["name"] in seen:
+                problems.append(f"{path}[{k}]: duplicate name {rec['name']!r}")
+            seen.add(rec["name"])
+        return {name: i for i, name in enumerate(sorted(seen))}
 
     d_index = index_by_name(applicants, "applicants")
     h_index = index_by_name(institutions, "institutions")
@@ -329,13 +405,15 @@ def parse_instance(raw: bytes | str) -> Profile:
 
     def resolve(rec: dict, list_key: str, target: dict[str, int], path: str) -> tuple[int, ...]:
         ranked: list[int] = []
+        seen: set[int] = set()
         for k, name in enumerate(rec.get(list_key, [])):
             if name not in target:
                 problems.append(f"{path}.{list_key}[{k}]: unknown agent name {name!r}")
-            elif target[name] in ranked:
+            elif target[name] in seen:
                 problems.append(f"{path}.{list_key}[{k}]: duplicate entry {name!r}")
             else:
                 ranked.append(target[name])
+                seen.add(target[name])
         return tuple(ranked)
 
     prefs: list[tuple[int, ...]] = [()] * len(d_index)

@@ -20,6 +20,7 @@ from mdm.market import (
     InstanceError,
     Matching,
     Profile,
+    _require_unit,
     validate_profile,
 )
 
@@ -71,14 +72,6 @@ class QueryLog:
     def lookup(self, side: str, owner: int, subject: int) -> None:
         self.events.append(("lookup", side, owner, subject))
 
-    def positional_ranks(self, side: str, owner: int) -> list[int]:
-        """Ranks of all positional reads of one agent's list, in query order."""
-        return [e[3] for e in self.events if e[0] == "read" and e[1] == side and e[2] == owner]
-
-    def reads_about(self, side: str, subject: int) -> list[tuple]:
-        """Positional reads that returned the given agent of the given side's lists."""
-        return [e for e in self.events if e[0] == "read" and e[1] == side and e[4] == subject]
-
 
 def _flip_side(side: str) -> str:
     return INSTITUTION if side == APPLICANT else APPLICANT
@@ -118,11 +111,6 @@ class _Pool:
         k = self.rng.randrange(len(self.items))
         self.items[k], self.items[-1] = self.items[-1], self.items[k]
         return self.items.pop()
-
-
-def _require_unit(p: Profile) -> None:
-    if not p.unit_capacity:
-        raise InstanceError("this mechanism requires capacity 1 everywhere")
 
 
 def serial_dictatorship(p: Profile, order: Sequence[int]) -> Matching:
@@ -170,15 +158,19 @@ def _ttc_cycles(point_d: dict[int, int], point_h: dict[int, int]) -> list[list[i
     return cycles
 
 
-def ttc(p: Profile, policy: CyclePolicy = CyclePolicy()) -> Matching:
-    """Top trading cycles. The outcome is the same for every cycle policy.
+def _ttc_rounds(
+    p: Profile, policy: CyclePolicy, absent: int | None = None
+) -> tuple[dict[int, int], frozenset[int]]:
+    """Trading-cycle rounds; returns the trades and the institutions left over.
 
     At the start of each round, applicants with exhausted lists and
     institutions whose lists contain no remaining applicant are removed
-    unmatched; every remaining agent then points and some cycle must exist.
+    unmatched; every remaining agent then points, and the policy picks which
+    of the pointing cycles execute. The absent applicant stays in the market
+    without pointing: institutions may point at her, but no cycle through her
+    ever executes. Rounds stop once no cycle is left.
     """
-    validate_profile(p)
-    _require_unit(p)
+    prefs, prios = p.applicant_prefs, p.institution_prios
     rng = random.Random(policy.seed) if policy.kind == "seeded-random" else None
     active_d = set(range(p.n_applicants))
     active_h = set(range(p.n_institutions))
@@ -187,24 +179,20 @@ def ttc(p: Profile, policy: CyclePolicy = CyclePolicy()) -> Matching:
         # Removals cascade: dropping one side's agent can exhaust the other's list.
         changed = True
         while changed:
-            changed = False
-            for d in sorted(active_d):
-                if not any(h in active_h for h in p.applicant_prefs[d]):
-                    active_d.remove(d)
-                    changed = True
-            for h in sorted(active_h):
-                if not any(d in active_d for d in p.institution_prios[h]):
-                    active_h.remove(h)
-                    changed = True
-        if not active_d or not active_h:
-            break
+            gone_d = [
+                d for d in active_d if d != absent and not any(h in active_h for h in prefs[d])
+            ]
+            active_d.difference_update(gone_d)
+            gone_h = [h for h in active_h if not any(d in active_d for d in prios[h])]
+            active_h.difference_update(gone_h)
+            changed = bool(gone_d or gone_h)
         point_d = {
-            d: next(h for h in p.applicant_prefs[d] if h in active_h) for d in active_d
+            d: next(h for h in prefs[d] if h in active_h) for d in active_d if d != absent
         }
-        point_h = {
-            h: next(d for d in p.institution_prios[h] if d in active_d) for h in active_h
-        }
+        point_h = {h: next(d for d in prios[h] if d in active_d) for h in active_h}
         cycles = _ttc_cycles(point_d, point_h)
+        if not cycles:
+            return out, frozenset(active_h)
         if policy.kind == "lowest-index-applicant-first":
             chosen = [min(cycles, key=min)]
         elif policy.kind == "all-simultaneous":
@@ -217,7 +205,13 @@ def ttc(p: Profile, policy: CyclePolicy = CyclePolicy()) -> Matching:
                 out[d] = h
                 active_d.remove(d)
                 active_h.remove(h)
-    return Matching.of(out)
+
+
+def ttc(p: Profile, policy: CyclePolicy = CyclePolicy()) -> Matching:
+    """Top trading cycles. The outcome is the same for every cycle policy."""
+    validate_profile(p)
+    _require_unit(p)
+    return Matching.of(_ttc_rounds(p, policy)[0])
 
 
 def apda(
@@ -262,6 +256,7 @@ def ipda(
     Returns the institution-optimal (equivalently applicant-pessimal) stable
     matching.
     """
+    validate_profile(p)
     inner = QueryLog() if log is not None else None
     m = apda(p.transposed(), policy, inner)
     if log is not None:
@@ -364,6 +359,7 @@ def receiver_optimal(
     rank order.
     """
     if proposing_side in (APPLICANT, "applicants"):
+        validate_profile(p)
         inner = QueryLog() if log is not None else None
         m = receiver_optimal(p.transposed(), INSTITUTION, inner)
         if log is not None:
@@ -421,11 +417,9 @@ def expand_many_to_one(p: Profile) -> tuple[Profile, tuple[int, ...]]:
     prefs = tuple(
         tuple(c for h in ranked for c in copies[h]) for ranked in p.applicant_prefs
     )
-    expanded = Profile(
-        applicant_names=p.applicant_names,
-        institution_names=tuple(names),
-        applicant_prefs=prefs,
-        institution_prios=tuple(prios),
+    expanded = Profile._derive(
+        p.applicant_names, tuple(names), prefs, tuple(prios),
+        checked=True, institution_rank=lambda: tuple(p.institution_rank[h] for h in copy_map),
     )
     return expanded, tuple(copy_map)
 

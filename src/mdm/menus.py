@@ -11,8 +11,8 @@ Engines and oracles:
 - menu_oracle_singleton / menu_oracle_exhaustive: brute force, mechanism-
   agnostic; the exhaustive one is the ground truth everything else is
   checked against.
-- menu_da / menu_da_many_to_one: one run of institution-proposing deferred
-  acceptance without the applicant.
+- menu_da_many_to_one, and menu_da for unit capacities: one run of
+  institution-proposing deferred acceptance without the applicant.
 - menu_ttc, menu_sd: direct constructions for top trading cycles and serial
   dictatorship.
 - menu_da_applicant_proposing: the same menu as menu_da, but computed by
@@ -35,11 +35,15 @@ from mdm.market import (
     InstanceError,
     Matching,
     Profile,
+    _check_applicant,
+    _require_unit,
     validate_profile,
 )
 from mdm.mechanisms import (
+    CyclePolicy,
     QueryLog,
     _next_accepting,
+    _ttc_rounds,
     apda,
     collapse_matching,
     expand_many_to_one,
@@ -48,7 +52,6 @@ from mdm.mechanisms import (
     resume_receiver_optimal,
     serial_dictatorship,
     ttc,
-    _ttc_cycles,
 )
 
 Menu = frozenset[int]
@@ -56,16 +59,6 @@ Menu = frozenset[int]
 MECHANISM_TAGS = ("sd", "ttc", "apda")
 
 _EXHAUSTIVE_CAP = 5  # institutions; reports grow factorially beyond this
-
-
-def _check_applicant(p: Profile, i: int) -> None:
-    if not 0 <= i < p.n_applicants:
-        raise InstanceError(f"applicant index {i} out of range for {p.n_applicants} applicants")
-
-
-def _require_unit(p: Profile) -> None:
-    if not p.unit_capacity:
-        raise InstanceError("this operation requires capacity 1 everywhere")
 
 
 def _run_mechanism(mech: str, p: Profile, order: Sequence[int] | None) -> Matching:
@@ -118,42 +111,18 @@ def menu_oracle_exhaustive(mech: str, i: int, p: Profile, order: Sequence[int] |
     return frozenset(menu)
 
 
-def menu_da(i: int, p: Profile) -> Menu:
+def menu_da_many_to_one(i: int, p: Profile) -> Menu:
     """Menu of applicant i under the applicant-optimal stable mechanism.
 
-    Run institution-proposing deferred acceptance on the market without i.
-    An institution is on the menu iff it lists i and either ends up
-    unmatched or ranks i above the applicant it holds.
-    """
-    validate_profile(p)
-    _check_applicant(p, i)
-    _require_unit(p)
-    mu = ipda(p.with_prefs(i, ()))
-    occupants = mu.by_institution
-    menu = set()
-    for h in range(p.n_institutions):
-        rank = p.institution_rank[h]
-        r = rank.get(i)
-        if r is None:
-            continue
-        held = occupants.get(h, ())
-        if not held or rank[held[0]] > r:
-            menu.add(h)
-    return frozenset(menu)
-
-
-def menu_da_many_to_one(i: int, p: Profile) -> Menu:
-    """Capacity-aware form of menu_da.
-
-    An institution is on the menu iff it lists i and, in the matching
-    without i, either has a free seat or holds some applicant it ranks
-    below i. Computed on the unit-capacity expansion and collapsed back.
+    Run institution-proposing deferred acceptance on the market without i,
+    on its unit-capacity expansion. An institution is on the menu iff it
+    lists i and, in that matching, either has a free seat or holds some
+    applicant it ranks below i.
     """
     validate_profile(p)
     _check_applicant(p, i)
     expanded, copy_map = expand_many_to_one(p.with_prefs(i, ()))
-    mu = collapse_matching(ipda(expanded), copy_map)
-    occupants = mu.by_institution
+    occupants = collapse_matching(ipda(expanded), copy_map).by_institution
     menu = set()
     for h in range(p.n_institutions):
         rank = p.institution_rank[h]
@@ -166,35 +135,12 @@ def menu_da_many_to_one(i: int, p: Profile) -> Menu:
     return frozenset(menu)
 
 
-def _ttc_survivors(p: Profile, i: int, all_at_once: bool) -> frozenset[int]:
-    """Institutions still present once every trading cycle avoiding i has run.
-
-    i stays in the market the whole time: institutions may point at her, but
-    she points nowhere, so no cycle through her ever executes.
-    """
-    prefs, prios = p.applicant_prefs, p.institution_prios
-    act_d = set(range(p.n_applicants))
-    act_d.discard(i)
-    act_h = set(range(p.n_institutions))
-    while True:
-        changed = True
-        while changed:
-            changed = False
-            for d in [d for d in act_d if not any(h in act_h for h in prefs[d])]:
-                act_d.remove(d)
-                changed = True
-            for h in [h for h in act_h if not any(d in act_d or d == i for d in prios[h])]:
-                act_h.remove(h)
-                changed = True
-        point_d = {d: next(h for h in prefs[d] if h in act_h) for d in act_d}
-        point_h = {h: next(d for d in prios[h] if d in act_d or d == i) for h in act_h}
-        cycles = _ttc_cycles(point_d, point_h)
-        if not cycles:
-            return frozenset(act_h)
-        for cycle in cycles if all_at_once else [min(cycles, key=min)]:
-            for d in cycle:
-                act_d.remove(d)
-                act_h.remove(point_d[d])
+def menu_da(i: int, p: Profile) -> Menu:
+    """menu_da_many_to_one restricted to unit capacities."""
+    validate_profile(p)
+    _check_applicant(p, i)
+    _require_unit(p)
+    return menu_da_many_to_one(i, p)
 
 
 def menu_ttc(i: int, p: Profile, check_invariance: bool = False) -> Menu:
@@ -210,9 +156,9 @@ def menu_ttc(i: int, p: Profile, check_invariance: bool = False) -> Menu:
     validate_profile(p)
     _check_applicant(p, i)
     _require_unit(p)
-    survivors = _ttc_survivors(p, i, all_at_once=False)
+    survivors = _ttc_rounds(p, CyclePolicy(), absent=i)[1]
     if check_invariance:
-        alt = _ttc_survivors(p, i, all_at_once=True)
+        alt = _ttc_rounds(p, CyclePolicy("all-simultaneous"), absent=i)[1]
         if alt != survivors:
             raise AssertionError(
                 f"trading-cycle survivors depend on execution order: {sorted(survivors)} vs {sorted(alt)}"
@@ -224,19 +170,9 @@ def menu_sd(i: int, p: Profile, order: Sequence[int]) -> Menu:
     """Menu of applicant i under serial dictatorship: whatever her predecessors leave."""
     validate_profile(p)
     _check_applicant(p, i)
-    _require_unit(p)
     order = tuple(order)
-    if sorted(order) != list(range(p.n_applicants)):
-        raise InstanceError("order must be a permutation of all applicants")
-    taken: set[int] = set()
-    for d in order:
-        if d == i:
-            break
-        for h in p.applicant_prefs[d]:
-            if h not in taken:
-                taken.add(h)
-                break
-    return frozenset(range(p.n_institutions)) - taken
+    picks = serial_dictatorship(p.with_prefs(i, ()), order).by_applicant
+    return frozenset(range(p.n_institutions)) - {picks[d] for d in order[: order.index(i)] if d in picks}
 
 
 # --- applicant-proposing menu via an augmented market ---
@@ -271,11 +207,8 @@ def build_augmented_profile(i: int, p: Profile) -> Profile:
         prios.append([d_try + 1, d_try])
         prios.append([d_try, d_try + 1])
         prios[j] = [d_try if d == i else d for d in prios[j]]
-    return Profile(
-        tuple(names_d),
-        tuple(names_h),
-        tuple(tuple(x) for x in prefs),
-        tuple(tuple(x) for x in prios),
+    return Profile._derive(
+        tuple(names_d), tuple(names_h), tuple(map(tuple, prefs)), tuple(map(tuple, prios)), checked=True
     )
 
 
@@ -451,11 +384,9 @@ def _hold_run(
     hold_prios = tuple(
         tuple(n + j if d == i else d for d in q.institution_prios[j]) for j in range(m)
     )
-    hold = Profile(
-        q.applicant_names + hold_names,
-        q.institution_names,
-        q.applicant_prefs + hold_prefs,
-        hold_prios,
+    hold = Profile._derive(
+        q.applicant_names + hold_names, q.institution_names, q.applicant_prefs + hold_prefs, hold_prios,
+        checked=True, applicant_rank=lambda: q.applicant_rank + tuple({j: 0} for j in range(m)),
     )
     inner = QueryLog() if log is not None else None
     nxt = [0] * m

@@ -36,6 +36,7 @@ from mdm.market import (
     matched_sets,
     serialize_instance,
     validate_matching,
+    validate_profile,
 )
 from mdm.mechanisms import (
     apda,
@@ -243,6 +244,7 @@ def _check_deviations(
     p: Profile, i: int, true: tuple[int, ...], reports: list[tuple[int, ...]]
 ) -> list[Failure]:
     failures = []
+    validate_profile(p)  # once, so the derived report profiles carry the pass
     base = p.with_prefs(i, true)
     inst = serialize_instance(base)
     for mech, run in [("apda", apda), ("ttc", ttc)]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from mdm.market import InstanceError
+from mdm.market import InstanceError, load_json_object
 
 
 @dataclass(frozen=True)
@@ -80,14 +80,7 @@ def median_menu_select(menu: tuple[int, int], own: int) -> int:
 
 def parse_votes(raw: bytes | str) -> VoteProfile:
     """Parse the JSON vote format {"C": ..., "votes": [...]}."""
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as err:
-        raise InstanceError(f"malformed JSON: {err}") from err
-    if not isinstance(doc, dict):
-        raise InstanceError("top level: expected an object")
+    doc = load_json_object(raw)
     problems = [f"top level: unknown field {key!r}" for key in sorted(set(doc) - {"C", "votes"})]
     if "C" not in doc:
         problems.append("top level: missing field 'C'")

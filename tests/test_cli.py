@@ -200,3 +200,12 @@ def test_gen_requires_family_parameters(capsys):
     code, _, err = run(capsys, "gen", "--family", "random")
     assert code == 2
     assert "--n" in err
+
+
+def test_solve_deeply_nested_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run(capsys, "solve", "--mechanism", "apda", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
