@@ -10,17 +10,25 @@ per item when each bidder can use at most one.
 
 Menu functions take the full instance plus the bidder's index and ignore
 that bidder's own row, mirroring the matching menus.
+
+Unit demand runs on one shortest-augmenting-path assignment solve in
+polynomial time, with no recursion. The tie-break is exact: integer
+perturbation of the weights makes the wanted optimum the unique one. VCG
+payments and menu prices are the least competitive prices of one solve,
+found by one shortest-path search over its dual potentials, never by
+solving again per bidder or per item.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from mdm.market import InstanceError, load_json_object
 
 Assignment = tuple  # item index or None per bidder
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -157,26 +165,129 @@ def menu_additive(i: int, v: ValuationMatrix) -> tuple[int, ...]:
     )
 
 
-def _welfare(rows: Sequence[Sequence[int]], allowed: int) -> Callable[[int, int], int]:
-    """Memoised best(k, used): the top value bidders k.. reach on items in ``allowed`` but not ``used``."""
-    memo: dict[tuple[int, int], int] = {}
+def _assign(cost: list[list[int]], n_cols: int) -> tuple[list[int], list[int], list[int]]:
+    """Give every row its own column at the least total cost; rows must not outnumber columns.
 
-    def best(k: int, used: int) -> int:
-        if k == len(rows):
-            return 0
-        try:
-            return memo[k, used]
-        except KeyError:
-            pass
-        out = best(k + 1, used)
-        for j, value in enumerate(rows[k]):
-            bit = 1 << j
-            if allowed & bit and not used & bit:
-                out = max(out, value + best(k + 1, used | bit))
-        memo[k, used] = out
-        return out
+    Shortest augmenting paths with dual potentials (Kuhn 1955; Jonker &
+    Volgenant 1987): each row enters through one Dijkstra search over reduced
+    costs, O(rows^2 * cols) in all, with no recursion. Returns the column of
+    each row and potentials u, v with ``u[i] + v[j] <= cost[i][j]`` for every
+    pair and equality on the assignment.
+    """
+    u = [0] * len(cost)
+    v = [0] * n_cols
+    col4row = [-1] * len(cost)
+    row4col = [-1] * n_cols
+    for cur in range(len(cost)):
+        shortest = [_INF] * n_cols
+        path = [-1] * n_cols
+        remaining = list(range(n_cols))
+        rows_seen: list[int] = []
+        cols_seen: list[int] = []
+        i, reach = cur, 0
+        while True:
+            rows_seen.append(i)
+            row, base = cost[i], reach - u[i]
+            lowest, pick = _INF, -1
+            for idx, j in enumerate(remaining):
+                d = base + row[j] - v[j]
+                if d < shortest[j]:
+                    shortest[j] = d
+                    path[j] = i
+                else:
+                    d = shortest[j]
+                if d < lowest or (d == lowest and row4col[j] < 0):  # a free column ends the search
+                    lowest, pick = d, idx
+            reach = lowest
+            j = remaining[pick]
+            remaining[pick] = remaining[-1]
+            remaining.pop()
+            cols_seen.append(j)
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+        u[cur] += reach
+        for i in rows_seen[1:]:
+            u[i] += reach - shortest[col4row[i]]
+        for j in cols_seen:
+            v[j] -= reach - shortest[j]
+        while True:  # flip the alternating path back from the free column j
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row, u, v
 
-    return best
+
+def _optimum(w: Sequence[Sequence[int]], m: int) -> tuple[list[int | None], list[int], list[int]]:
+    """A maximum-weight assignment of bidder rows ``w`` to m items, plus dual potentials.
+
+    Returns each bidder's item (None unless held at a positive weight) and
+    potentials ``a`` over bidders and ``b`` over items with ``a[k] + b[j] >=
+    w[k][j]`` for every pair and equality for every held pair. The smaller
+    side is the solver's rows, so every row gets a partner; a pair of weight
+    zero or less means "no item", as a zero-weight dummy column would.
+    """
+    n = len(w)
+    if n <= m:
+        col4row, u, v = _assign([[-x if x > 0 else 0 for x in row] for row in w], m)
+        pairs = enumerate(col4row)
+        a, b = u, v
+    else:
+        col4row, u, v = _assign([[-x if x > 0 else 0 for x in col] for col in zip(*w)], n)
+        pairs = ((k, j) for j, k in enumerate(col4row))
+        a, b = v, u
+    item_of: list[int | None] = [None] * n
+    for k, j in pairs:
+        if w[k][j] > 0:
+            item_of[k] = j
+    return item_of, [-x for x in a], [-x for x in b]
+
+
+def _least_prices(w: Sequence[Sequence[int]], held: dict[int, int], pot: Sequence[int]) -> list[int]:
+    """The least competitive price of every good, given an optimal assignment.
+
+    Agents are the rows of ``w`` and goods its columns; ``held`` maps each
+    assigned good to its agent. A good's least price is the most the others
+    gain by refilling it once its holder leaves: an agent without a good
+    takes it, or a holder moves over and its own good is refilled in turn
+    (Leonard 1983; Demange, Gale & Sotomayor 1986). These chains are longest
+    paths. The potentials ``pot``, with ``pot[j] - pot[a] >= w[k][j] -
+    w[k][a]`` whenever agent k holds a, make every step nonnegative, so one
+    dense Dijkstra search finds them all.
+    """
+    holders = set(held.values())
+    reach = [0] * len(pot)  # the best direct claim; zero leaves the good empty
+    for k, row in enumerate(w):
+        if k not in holders:
+            reach = [x if x > r else r for r, x in zip(reach, row)]
+    dist = [p - r for p, r in zip(pot, reach)]
+    todo = dict(held)
+    while todo:
+        x = min(todo, key=dist.__getitem__)
+        row = w[todo.pop(x)]
+        base = dist[x] - pot[x] + row[x]
+        dist = [d if d <= c else c for d, c in zip(dist, [base + p - y for p, y in zip(pot, row)])]
+    return [p - d for p, d in zip(pot, dist)]
+
+
+def _perturbed(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """Weights whose unique heaviest assignment is the tie-broken optimum, and their scale.
+
+    Bidder k's choice has rank r (None 0, item j j+1) and weighs
+    ``value * (m+1)**n - r * (m+1)**(n-1-k)``. The ranks read as an n-digit
+    number in base m+1 stay below the scale ``(m+1)**n``, so the heaviest
+    assignment has the most value and, among those, the lexicographically
+    smallest ranks. Python integers keep this exact.
+    """
+    base = len(rows[0]) + 1
+    scale = digit = base ** len(rows)
+    out = []
+    for row in rows:
+        digit //= base
+        out.append([x * scale - (j + 1) * digit for j, x in enumerate(row)])
+    return out, scale
 
 
 def max_weight_matching(v: ValuationMatrix) -> Assignment:
@@ -184,46 +295,41 @@ def max_weight_matching(v: ValuationMatrix) -> Assignment:
 
     Returns one item index or None per bidder. Among all optima it picks
     the lexicographically smallest by bidder index, with None ranked before
-    any item, so an all-zero matrix yields no assignments at all. Runtime
-    grows with bidders times two to the number of items.
+    any item, so an all-zero matrix yields no assignments at all. One
+    shortest-augmenting-path solve over integer-perturbed weights finds it:
+    O(r^2 * c) for r the smaller and c the larger of bidders and items.
     """
     validate_matrix(v)
-    rows = v.values
-    best = _welfare(rows, (1 << v.n_items) - 1)
-    assignment: list[int | None] = []
-    used = 0
-    for k in range(len(rows)):
-        target = best(k, used)
-        if best(k + 1, used) == target:
-            assignment.append(None)
-            continue
-        for j, value in enumerate(rows[k]):
-            bit = 1 << j
-            if not used & bit and value + best(k + 1, used | bit) == target:
-                assignment.append(j)
-                used |= bit
-                break
-    return tuple(assignment)
+    return tuple(_optimum(_perturbed(v.values)[0], v.n_items)[0])
 
 
 def vcg_unit_demand(v: ValuationMatrix) -> AuctionOutcome:
     """VCG when each bidder can use at most one item.
 
-    The allocation maximizes welfare; each winner pays the externality she
-    exerts, the welfare the others could reach without her minus what they
-    reach beside her.
+    The allocation is ``max_weight_matching``; each winner pays the
+    externality she exerts, the welfare the others could reach without her
+    minus what they reach beside her. These payments are the least
+    competitive prices, so they come from the same solve: the others' best
+    welfare without bidder k is the solve's welfare, less k's weight, plus
+    the least price of k's item.
     """
     validate_matrix(v)
-    assignment = max_weight_matching(v)
-    full = (1 << v.n_items) - 1
-    welfare = sum(v.values[i][j] for i, j in enumerate(assignment) if j is not None)
+    w, scale = _perturbed(v.values)
+    item_of, _, pot = _optimum(w, v.n_items)
+    least = _least_prices(w, {j: k for k, j in enumerate(item_of) if j is not None}, pot)
+    total = sum(w[k][j] for k, j in enumerate(item_of) if j is not None)
+    welfare = sum(v.values[k][j] for k, j in enumerate(item_of) if j is not None)
     allocation = []
     prices = []
-    for i, j in enumerate(assignment):
-        others = v.values[:i] + v.values[i + 1 :]
-        own = v.values[i][j] if j is not None else 0
-        prices.append(_welfare(others, full)(0, 0) - (welfare - own))
-        allocation.append(frozenset() if j is None else frozenset({j}))
+    for k, j in enumerate(item_of):
+        if j is None:
+            allocation.append(frozenset())
+            prices.append(0)
+        else:
+            # the others' welfare without k; the perturbation takes off less than one scale
+            without = -(-(total - w[k][j] + least[j]) // scale)
+            allocation.append(frozenset({j}))
+            prices.append(without - (welfare - v.values[k][j]))
     return AuctionOutcome(tuple(allocation), tuple(prices))
 
 
@@ -232,15 +338,23 @@ def menu_unit_demand(i: int, v: ValuationMatrix) -> tuple[int, ...]:
 
     The price of item j is what the other bidders' best assignment loses by
     giving j up. Bidder i's menu is any single item at its price, or no
-    item for free.
+    item for free. One solve over the others gives all the prices: the loss
+    is the value of j to its holder less the least price of that holder in
+    the market read with items as the agents.
     """
     validate_matrix(v)
     if not 0 <= i < v.n_bidders:
         raise InstanceError(f"no bidder {i}")
     others = v.values[:i] + v.values[i + 1 :]
-    full = (1 << v.n_items) - 1
-    base = _welfare(others, full)(0, 0)
-    return tuple(base - _welfare(others, full & ~(1 << j))(0, 0) for j in range(v.n_items))
+    if not others:
+        return (0,) * v.n_items
+    item_of, pot, _ = _optimum(others, v.n_items)
+    held = {k: j for k, j in enumerate(item_of) if j is not None}
+    least = _least_prices(tuple(zip(*others)), held, pot)
+    prices = [0] * v.n_items
+    for k, j in held.items():
+        prices[j] = others[k][j] - least[k]
+    return tuple(prices)
 
 
 def parse_auction(raw: bytes | str) -> ValuationMatrix:

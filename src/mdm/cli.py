@@ -8,7 +8,8 @@ family), gen (write instance files with a parameter sidecar).
 
 Output is JSON on standard output unless --format text is given; describe
 defaults to text.  Exit codes: 0 success, 1 verification failure, 2 usage
-or input error.
+or input error, 3 internal error (any other exception, reported on one
+stderr line).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from mdm.auctions import (
@@ -448,6 +450,13 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:  # a fault in mdm itself, not in the input
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        sys.stderr.write(
+            f"error: internal error ({type(exc).__name__} at {Path(where.filename).name}:{where.lineno}): "
+            f"{' '.join(str(exc).split())}\n"
+        )
+        return 3
 
 
 if __name__ == "__main__":

@@ -477,7 +477,7 @@ def _auctions_trial(size: int, seed: int, t: int) -> list[Failure]:
             Failure(
                 inst,
                 f"maximum assignment value is {brute} by enumeration",
-                f"dynamic program found {weight} via {assignment}",
+                f"assignment {assignment} of value {weight}",
             )
         )
     out_u = vcg_unit_demand(v)

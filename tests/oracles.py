@@ -120,5 +120,64 @@ def count_optimal_assignments(values: Sequence[Sequence[int]]) -> int:
     return sum(1 for v in seen.values() if v == best)
 
 
+def _dp_welfare(rows: Sequence[Sequence[int]], allowed: int) -> Callable[[int, int], int]:
+    """Memoised best(k, used): the top value bidders k.. reach on items in ``allowed`` but not ``used``."""
+    memo: dict[tuple[int, int], int] = {}
+
+    def best(k: int, used: int) -> int:
+        if k == len(rows):
+            return 0
+        if (k, used) not in memo:
+            out = best(k + 1, used)
+            for j, value in enumerate(rows[k]):
+                bit = 1 << j
+                if allowed & bit and not used & bit:
+                    out = max(out, value + best(k + 1, used | bit))
+            memo[k, used] = out
+        return memo[k, used]
+
+    return best
+
+
+def dp_max_weight_matching(values: Sequence[Sequence[int]]) -> tuple[int | None, ...]:
+    """The lexicographically smallest optimal assignment (None first), read off the bitmask DP.
+
+    Exponential in the number of items; meant for at most ten.
+    """
+    best = _dp_welfare(values, (1 << len(values[0])) - 1)
+    assignment: list[int | None] = []
+    used = 0
+    for k, row in enumerate(values):
+        target = best(k, used)
+        if best(k + 1, used) == target:
+            assignment.append(None)
+            continue
+        j = next(j for j, x in enumerate(row) if not used >> j & 1 and x + best(k + 1, used | 1 << j) == target)
+        assignment.append(j)
+        used |= 1 << j
+    return tuple(assignment)
+
+
+def dp_vcg_unit_demand(values: Sequence[Sequence[int]]) -> tuple[tuple[int | None, ...], tuple[int, ...]]:
+    """The DP assignment and each bidder's externality: the others' optimum without her minus beside her."""
+    full = (1 << len(values[0])) - 1
+    assignment = dp_max_weight_matching(values)
+    welfare = sum(values[k][j] for k, j in enumerate(assignment) if j is not None)
+    prices = []
+    for k, j in enumerate(assignment):
+        own = values[k][j] if j is not None else 0
+        rest = list(values[:k]) + list(values[k + 1 :])
+        prices.append(_dp_welfare(rest, full)(0, 0) - (welfare - own))
+    return assignment, tuple(prices)
+
+
+def dp_menu_unit_demand(i: int, values: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Per-item prices for bidder i: what the others' optimum loses without each item, by DP."""
+    rest = list(values[:i]) + list(values[i + 1 :])
+    full = (1 << len(values[0])) - 1
+    base = _dp_welfare(rest, full)(0, 0)
+    return tuple(base - _dp_welfare(rest, full & ~(1 << j))(0, 0) for j in range(len(values[0])))
+
+
 def median_reference(votes: Sequence[int]) -> int:
     return int(statistics.median(votes))

@@ -1,6 +1,7 @@
 """Command-line behavior: payload shapes, exit codes, determinism."""
 
 import json
+import random
 
 import pytest
 
@@ -209,3 +210,31 @@ def test_solve_deeply_nested_json_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_unexpected_exception_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "a.json"
+    path.write_text('{"K": 6, "values": [[3, 1], [2, 4]]}')
+
+    def broken(v):
+        raise RuntimeError("solver fell over\non two lines")
+
+    monkeypatch.setattr("mdm.cli.vcg_unit_demand", broken)
+    code, out, err = run(capsys, "solve", "--mechanism", "vcg-unit-demand", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: internal error (RuntimeError at test_cli.py:")
+    assert err.endswith("): solver fell over on two lines\n") and err.count("\n") == 1
+
+
+def test_solve_vcg_unit_demand_30_by_30(tmp_path, capsys):
+    rng = random.Random(30)
+    rows = [[rng.randint(0, 20) for _ in range(30)] for _ in range(30)]
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"K": 20, "values": rows}))
+    code, out, _ = run(capsys, "solve", "--mechanism", "vcg-unit-demand", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["allocation"]) == len(doc["prices"]) == 30
+    held = [items[0] for items in doc["allocation"] if items]
+    assert len(held) == len(set(held))
