@@ -61,6 +61,7 @@ from mdm.menus import (
     menu_da,
     menu_da_applicant_proposing,
     menu_da_plan,
+    menu_from_matching,
     menu_oracle_exhaustive,
     menu_sd,
     menu_ttc,
@@ -243,9 +244,10 @@ def cmd_describe(args: argparse.Namespace) -> int:
     p = parse_instance(_read(args.instance))
     i = _applicant_index(p, args.applicant)
     name = p.applicant_names[i]
-    hypothetical = _matching_payload(p, ipda(p.with_prefs(i, ())))
+    without = ipda(p.with_prefs(i, ()))
+    hypothetical = _matching_payload(p, without)
     hypothetical["unmatched"] = [d for d in hypothetical["unmatched"] if d != name]
-    menu = sorted(p.institution_names[h] for h in menu_da(i, p))
+    menu = sorted(p.institution_names[h] for h in menu_from_matching(i, p, without))
     lines = [f"Menu description for {name}", ""]
     lines.append("If your preference list is ignored, institutions propose and the others end up matched as:")
     for d, h in sorted(hypothetical["matched"].items()):

@@ -9,9 +9,12 @@ check that outcomes do not depend on them; the public default is by-index.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Sequence
 
 from mdm.market import (
@@ -30,7 +33,14 @@ CYCLE_KINDS = ("lowest-index-applicant-first", "all-simultaneous", "seeded-rando
 
 @dataclass(frozen=True)
 class ProposalPolicy:
-    """Which currently free agent is chosen to propose next in deferred acceptance."""
+    """Which free agent deferred acceptance picks next.
+
+    The picked agent proposes down its list until some receiver holds it or
+    the list runs out; only an agent displaced from a hold returns to the
+    pool. Under by-index a rejected proposer is still the smallest free
+    index, so by-index proposes in the same order as re-picking after every
+    rejection would.
+    """
 
     kind: str = "by-index"
     seed: int = 0
@@ -86,31 +96,35 @@ def _flip_matching(m: Matching) -> Matching:
 
 
 class _Pool:
-    """Pool of free proposers drained according to a ProposalPolicy."""
+    """Pool of free proposers drained according to a ProposalPolicy.
+
+    pop picks the next free proposer, who then proposes until held; push
+    returns a displaced proposer. by-index keeps a heap, so each push and
+    pop costs O(log n); fifo and lifo use a deque and seeded-random a list
+    with swap-removal, O(1) each.
+    """
 
     def __init__(self, policy: ProposalPolicy, items: Iterable[int]):
-        self.kind = policy.kind
-        self.items = deque(items) if self.kind in ("fifo", "lifo") else list(items)
-        self.rng = random.Random(policy.seed) if self.kind == "seeded-random" else None
+        kind = policy.kind
+        if kind == "by-index":
+            self.items = sorted(items)  # a sorted list is a heap
+            self.pop = partial(heapq.heappop, self.items)
+            self.push = partial(heapq.heappush, self.items)
+        elif kind in ("fifo", "lifo"):
+            self.items = deque(items)
+            self.pop = self.items.popleft if kind == "fifo" else self.items.pop
+            self.push = self.items.append
+        else:
+            self.items = list(items)
+            self.rng = random.Random(policy.seed)
+            self.pop = self._pop_random
+            self.push = self.items.append
 
-    def __bool__(self) -> bool:
-        return bool(self.items)
-
-    def push(self, item: int) -> None:
-        self.items.append(item)
-
-    def pop(self) -> int:
-        if self.kind == "fifo":
-            return self.items.popleft()
-        if self.kind == "lifo":
-            return self.items.pop()
-        if self.kind == "by-index":
-            item = min(self.items)
-            self.items.remove(item)
-            return item
-        k = self.rng.randrange(len(self.items))
-        self.items[k], self.items[-1] = self.items[-1], self.items[k]
-        return self.items.pop()
+    def _pop_random(self) -> int:
+        items = self.items
+        k = self.rng.randrange(len(items))
+        items[k], items[-1] = items[-1], items[k]
+        return items.pop()
 
 
 def serial_dictatorship(p: Profile, order: Sequence[int]) -> Matching:
@@ -134,77 +148,100 @@ def serial_dictatorship(p: Profile, order: Sequence[int]) -> Matching:
     return Matching.of(out)
 
 
-def _ttc_cycles(point_d: dict[int, int], point_h: dict[int, int]) -> list[list[int]]:
-    """All applicant cycles d0 -> point_d[d0] -> d1 -> ... -> d0, as applicant lists.
-
-    Walks that reach an applicant without an entry in point_d end there
-    without closing a cycle.
-    """
-    cycles: list[list[int]] = []
-    state: dict[int, int] = {}  # applicant -> 0 in progress, 1 done
-    for start in sorted(point_d):
-        if start in state:
-            continue
-        path: list[int] = []
-        d = start
-        while d not in state and d in point_d:
-            state[d] = 0
-            path.append(d)
-            d = point_h[point_d[d]]
-        if state.get(d) == 0:
-            cycles.append(path[path.index(d):])
-        for x in path:
-            state[x] = 1
-    return cycles
-
-
 def _ttc_rounds(
     p: Profile, policy: CyclePolicy, absent: int | None = None
 ) -> tuple[dict[int, int], frozenset[int]]:
     """Trading-cycle rounds; returns the trades and the institutions left over.
 
-    At the start of each round, applicants with exhausted lists and
-    institutions whose lists contain no remaining applicant are removed
-    unmatched; every remaining agent then points, and the policy picks which
-    of the pointing cycles execute. The absent applicant stays in the market
-    without pointing: institutions may point at her, but no cycle through her
-    ever executes. Rounds stop once no cycle is left.
+    Every agent points at the first agent on its list still in the market.
+    An agent whose list runs out leaves unmatched, which can exhaust other
+    lists in turn. Each round the policy picks which of the standing cycles
+    execute, and their agents leave matched. The absent applicant stays in
+    the market without pointing: institutions may point at her, but no cycle
+    through her ever executes. Rounds stop once no cycle is left.
+
+    State carries over between rounds. The market only shrinks, so each
+    pointer only moves forward, and a cycle stands until it executes. A
+    round re-points just the agents whose targets left, and looks for new
+    cycles only along the walks from the re-pointed agents. Standing cycles
+    are kept in order of their lowest applicant: lowest-index-applicant-first
+    takes the first, seeded-random draws one uniformly.
     """
     prefs, prios = p.applicant_prefs, p.institution_prios
+    n, m = p.n_applicants, p.n_institutions
     rng = random.Random(policy.seed) if policy.kind == "seeded-random" else None
-    active_d = set(range(p.n_applicants))
-    active_h = set(range(p.n_institutions))
+    live_d, live_h = [True] * n, [True] * m
+    at_d, at_h = [0] * n, [0] * m  # pointer positions, into each agent's own list
+    fans_d: list[list[int]] = [[] for _ in range(n)]  # institutions pointing at each applicant
+    fans_h: list[list[int]] = [[] for _ in range(m)]  # applicants pointing at each institution
+    cycling = [False] * n  # applicant on a standing cycle
+    standing: list[tuple[int, list[int]]] = []  # (lowest applicant, cycle), ascending
+    lost_d = [d for d in range(n) if d != absent]  # agents whose target left, or who have none yet
+    lost_h = list(range(m))
     out: dict[int, int] = {}
     while True:
-        # Removals cascade: dropping one side's agent can exhaust the other's list.
-        changed = True
-        while changed:
-            gone_d = [
-                d for d in active_d if d != absent and not any(h in active_h for h in prefs[d])
-            ]
-            active_d.difference_update(gone_d)
-            gone_h = [h for h in active_h if not any(d in active_d for d in prios[h])]
-            active_h.difference_update(gone_h)
-            changed = bool(gone_d or gone_h)
-        point_d = {
-            d: next(h for h in prefs[d] if h in active_h) for d in active_d if d != absent
-        }
-        point_h = {h: next(d for d in prios[h] if d in active_d) for h in active_h}
-        cycles = _ttc_cycles(point_d, point_h)
-        if not cycles:
-            return out, frozenset(active_h)
+        moved: list[int] = []  # applicants whose walk may now close a new cycle
+        while lost_d or lost_h:
+            while lost_d:
+                d = lost_d.pop()
+                if not live_d[d]:
+                    continue
+                ranked, k = prefs[d], at_d[d]
+                while k < len(ranked) and not live_h[ranked[k]]:
+                    k += 1
+                at_d[d] = k
+                if k < len(ranked):
+                    fans_h[ranked[k]].append(d)
+                    moved.append(d)
+                else:
+                    live_d[d] = False
+                    lost_h += fans_d[d]
+            while lost_h:
+                h = lost_h.pop()
+                if not live_h[h]:
+                    continue
+                ranked, k = prios[h], at_h[h]
+                while k < len(ranked) and not live_d[ranked[k]]:
+                    k += 1
+                at_h[h] = k
+                if k < len(ranked):
+                    fans_d[ranked[k]].append(h)
+                    moved.append(ranked[k])
+                else:
+                    live_h[h] = False
+                    lost_d += fans_h[h]
+
+        state: dict[int, int] = {}  # applicant -> 0 on the current walk, 1 done
+        for d in moved:
+            path: list[int] = []
+            while live_d[d] and d != absent and not cycling[d] and d not in state:
+                state[d] = 0
+                path.append(d)
+                h = prefs[d][at_d[d]]
+                d = prios[h][at_h[h]]
+            if state.get(d) == 0:
+                cycle = path[path.index(d):]
+                for x in cycle:
+                    cycling[x] = True
+                bisect.insort(standing, (min(cycle), cycle))
+            for x in path:
+                state[x] = 1
+
+        if not standing:
+            return out, frozenset(h for h in range(m) if live_h[h])
         if policy.kind == "lowest-index-applicant-first":
-            chosen = [min(cycles, key=min)]
+            chosen = [standing.pop(0)]
         elif policy.kind == "all-simultaneous":
-            chosen = cycles
+            chosen, standing = standing, []
         else:
-            chosen = [cycles[rng.randrange(len(cycles))]]
-        for cycle in chosen:
+            chosen = [standing.pop(rng.randrange(len(standing)))]
+        for _, cycle in chosen:
             for d in cycle:
-                h = point_d[d]
+                h = prefs[d][at_d[d]]
                 out[d] = h
-                active_d.remove(d)
-                active_h.remove(h)
+                live_d[d] = live_h[h] = False
+                lost_h += fans_d[d]
+                lost_d += fans_h[h]
 
 
 def ttc(p: Profile, policy: CyclePolicy = CyclePolicy()) -> Matching:
@@ -222,30 +259,35 @@ def apda(
     _require_unit(p)
     prefs = p.applicant_prefs
     rank = p.institution_rank
-    nxt = [0] * p.n_applicants
-    hold: dict[int, int] = {}  # institution -> applicant
-    pool = _Pool(policy, [d for d in range(p.n_applicants) if prefs[d]])
-    while pool:
-        d = pool.pop()
-        if nxt[d] >= len(prefs[d]):
-            continue  # exhausted her list; exits permanently unmatched
-        h = prefs[d][nxt[d]]
-        if log is not None:
-            log.read(APPLICANT, d, nxt[d], h)
-        nxt[d] += 1
-        cur = hold.get(h)
-        if log is not None:
-            log.lookup(INSTITUTION, h, d)
-            if cur is not None:
-                log.lookup(INSTITUTION, h, cur)
-        rank_d = rank[h].get(d)
-        if rank_d is None or (cur is not None and rank[h][cur] < rank_d):
-            pool.push(d)
-        else:
-            hold[h] = d
-            if cur is not None:
-                pool.push(cur)
-    return Matching(frozenset((d, h) for h, d in hold.items()))
+    n, m = p.n_applicants, p.n_institutions
+    nxt = [0] * n
+    hold: list[int | None] = [None] * m  # institution -> the applicant it holds
+    held = [n] * m  # that applicant's rank; n, which no listed rank reaches, while empty
+    pool = _Pool(policy, [d for d in range(n) if prefs[d]])
+    free, pop, push = pool.items, pool.pop, pool.push
+    while free:
+        d = pop()
+        ranked = prefs[d]
+        k, end = nxt[d], len(ranked)
+        # d proposes down her list until someone holds her; if nobody does,
+        # she exits permanently unmatched. An unlisted proposer ranks n.
+        while k < end:
+            h = ranked[k]
+            if log is not None:
+                log.read(APPLICANT, d, k, h)
+                log.lookup(INSTITUTION, h, d)
+                if hold[h] is not None:
+                    log.lookup(INSTITUTION, h, hold[h])
+            k += 1
+            r = rank[h].get(d, n)
+            if r < held[h]:
+                cur = hold[h]
+                hold[h], held[h] = d, r
+                if cur is not None:
+                    push(cur)
+                break
+        nxt[d] = k
+    return Matching(frozenset((d, h) for h, d in enumerate(hold) if d is not None))
 
 
 def ipda(
@@ -264,29 +306,31 @@ def ipda(
     return _flip_matching(m)
 
 
-def _accepts(p: Profile, mu_d: dict[int, int], d: int, h: int, log: QueryLog | None) -> bool:
-    """Does d prefer h to her current assignment? Unmatched is below any listed h."""
-    if log is not None:
-        log.lookup(APPLICANT, d, h)
-    r = p.applicant_rank[d].get(h)
-    if r is None:
-        return False
-    cur = mu_d.get(d)
-    return cur is None or r < p.applicant_rank[d][cur]
-
-
 def _next_accepting(
     p: Profile, mu_d: dict[int, int], nxt: list[int], h: int, log: QueryLog | None
 ) -> int | None:
-    """Advance h down its priority list to the next applicant who would accept it."""
+    """Advance h down its priority list to the next applicant who would accept it.
+
+    An applicant accepts h if she lists it above her current assignment in
+    mu_d; being unmatched is below any listed institution.
+    """
     prios = p.institution_prios[h]
-    while nxt[h] < len(prios):
-        d = prios[nxt[h]]
+    rank = p.applicant_rank
+    k, end = nxt[h], len(prios)
+    while k < end:
+        d = prios[k]
         if log is not None:
-            log.read(INSTITUTION, h, nxt[h], d)
-        nxt[h] += 1
-        if _accepts(p, mu_d, d, h, log):
-            return d
+            log.read(INSTITUTION, h, k, d)
+            log.lookup(APPLICANT, d, h)
+        k += 1
+        rank_d = rank[d]
+        r = rank_d.get(h)
+        if r is not None:
+            cur = mu_d.get(d)
+            if cur is None or r < rank_d[cur]:
+                nxt[h] = k
+                return d
+    nxt[h] = k
     return None
 
 
@@ -308,14 +352,17 @@ def resume_receiver_optimal(
     pref_rank = p.applicant_rank
     n = p.n_applicants
     d_term = d_term | {d for d in range(n) if d not in mu_d}
+    v: list[tuple[int, int]] = []  # the chain: (applicant, her match when she joined)
+    in_v: set[int] = set()  # the applicants on v
 
-    def write_rotation(v: list[tuple[int, int]], d: int) -> int | None:
+    def write_rotation(d: int) -> int | None:
         """Write the rotation closed by d's reappearance; returns the next proposer."""
         start = next(k for k, entry in enumerate(v) if entry[0] == d)
         t = v[start:]
         for j, (_, h_j) in enumerate(t):
             mu_d[t[(j + 1) % len(t)][0]] = h_j
         del v[start:]
+        in_v.difference_update(entry[0] for entry in t)
         if not v:
             return None
         _, h_0 = v[-1]
@@ -326,23 +373,30 @@ def resume_receiver_optimal(
         # d_1 still prefers h_0: her chain entry reappears with her new match,
         # which becomes the proposer (it stands to lose her to h_0).
         v.append((d_1, h_k))
+        in_v.add(d_1)
         return h_k
 
-    while len(d_term) < n:
-        d_hat = min(d for d in range(n) if d not in d_term)
+    d_hat = 0  # d_term only grows, so the least non-terminal applicant only moves up
+    while True:
+        while d_hat < n and d_hat in d_term:
+            d_hat += 1
+        if d_hat == n:
+            return Matching.of(mu_d)
         h: int | None = mu_d[d_hat]
-        v: list[tuple[int, int]] = [(d_hat, h)]
+        v.append((d_hat, h))
+        in_v.add(d_hat)
         while v:
             d = _next_accepting(p, mu_d, nxt, h, log)
             if d is None or d in d_term:
-                d_term.update(entry[0] for entry in v)
+                d_term |= in_v
                 v.clear()
-            elif all(entry[0] != d for entry in v):
-                v.append((d, mu_d[d]))
+                in_v.clear()
+            elif d not in in_v:
                 h = mu_d[d]
+                v.append((d, h))
+                in_v.add(d)
             else:
-                h = write_rotation(v, d)
-    return Matching.of(mu_d)
+                h = write_rotation(d)
 
 
 def receiver_optimal(
@@ -372,22 +426,19 @@ def receiver_optimal(
 
     # Institution-proposing run. Pointers keep their final positions so the
     # chain phase continues each institution's list right below its match.
-    n, m = p.n_applicants, p.n_institutions
+    # An institution proposes until someone accepts it, which holds it.
+    m = p.n_institutions
     nxt = [0] * m  # per-institution pointer; advances monotonically, never resets
     mu_d: dict[int, int] = {}
-    mu_h: dict[int, int] = {}
     pool = _Pool(ProposalPolicy(), [h for h in range(m) if p.institution_prios[h]])
-    while pool:
+    while pool.items:
         h = pool.pop()
         d = _next_accepting(p, mu_d, nxt, h, log)
-        if d is None:
-            continue
-        displaced = mu_d.get(d)
-        mu_d[d] = h
-        mu_h[h] = d
-        if displaced is not None:
-            del mu_h[displaced]
-            pool.push(displaced)
+        if d is not None:
+            displaced = mu_d.get(d)
+            mu_d[d] = h
+            if displaced is not None:
+                pool.push(displaced)
 
     return resume_receiver_optimal(p, mu_d, nxt, set(), log)
 

@@ -8,10 +8,11 @@ library rather than at the oracle.
 from __future__ import annotations
 
 import itertools
+import random
 import statistics
 from collections.abc import Callable, Sequence
 
-from mdm.market import Matching, Profile
+from mdm.market import APPLICANT, INSTITUTION, Matching, Profile
 
 
 def all_partial_lists(m: int) -> list[tuple[int, ...]]:
@@ -45,6 +46,186 @@ def gs_reference(p: Profile) -> Matching:
         else:
             free.append(d)
     return Matching(frozenset((d, h) for h, d in hold.items()))
+
+
+def da_reference(p: Profile, proposing: str = APPLICANT) -> tuple[Matching, list[tuple]]:
+    """Deferred acceptance, one proposal per pick, smallest free index picked each time.
+
+    Returns the matching and the list reads and rank lookups in QueryLog's
+    event shapes. With proposing=INSTITUTION the sides are interchanged, as
+    in ipda.
+    """
+    if proposing == APPLICANT:
+        prefs, prios, side, other = p.applicant_prefs, p.institution_prios, APPLICANT, INSTITUTION
+    else:
+        prefs, prios, side, other = p.institution_prios, p.applicant_prefs, INSTITUTION, APPLICANT
+    rank = [{x: r for r, x in enumerate(ranked)} for ranked in prios]
+    events: list[tuple] = []
+    nxt = [0] * len(prefs)
+    hold: dict[int, int] = {}
+    free = [a for a in range(len(prefs)) if prefs[a]]
+    while free:
+        a = min(free)
+        free.remove(a)
+        if nxt[a] >= len(prefs[a]):
+            continue
+        b = prefs[a][nxt[a]]
+        events.append(("read", side, a, nxt[a], b))
+        nxt[a] += 1
+        cur = hold.get(b)
+        events.append(("lookup", other, b, a))
+        if cur is not None:
+            events.append(("lookup", other, b, cur))
+        r = rank[b].get(a)
+        if r is None or (cur is not None and rank[b][cur] < r):
+            free.append(a)
+        else:
+            hold[b] = a
+            if cur is not None:
+                free.append(cur)
+    pairs = hold.items() if proposing == APPLICANT else ((b, a) for a, b in hold.items())
+    return Matching(frozenset((a, b) for b, a in pairs)), events
+
+
+def chain_phase_reference(
+    p: Profile, mu: dict[int, int], nxt: list[int], d_term: set[int], events: list[tuple]
+) -> Matching:
+    """The rejection-chain phase of receiver_optimal, restarted from the least non-terminal applicant each time.
+
+    Institutions keep proposing below their pointers nxt; a chain that
+    revisits an applicant is written back as a rotation. mu, nxt and events
+    are updated in place.
+    """
+    n = p.n_applicants
+    rank = [{h: r for r, h in enumerate(ranked)} for ranked in p.applicant_prefs]
+    d_term = d_term | {d for d in range(n) if d not in mu}
+
+    def next_accepting(h: int) -> int | None:
+        prios = p.institution_prios[h]
+        while nxt[h] < len(prios):
+            d = prios[nxt[h]]
+            events.append(("read", INSTITUTION, h, nxt[h], d))
+            nxt[h] += 1
+            events.append(("lookup", APPLICANT, d, h))
+            r = rank[d].get(h)
+            if r is not None and (d not in mu or r < rank[d][mu[d]]):
+                return d
+        return None
+
+    while len(d_term) < n:
+        d_hat = min(d for d in range(n) if d not in d_term)
+        h = mu[d_hat]
+        v = [(d_hat, h)]
+        while v:
+            d = next_accepting(h)
+            if d is None or d in d_term:
+                d_term.update(x for x, _ in v)
+                v = []
+            elif all(x != d for x, _ in v):
+                v.append((d, mu[d]))
+                h = mu[d]
+            else:
+                start = [x for x, _ in v].index(d)
+                t = v[start:]
+                for j, (_, h_j) in enumerate(t):
+                    mu[t[(j + 1) % len(t)][0]] = h_j
+                del v[start:]
+                if v:
+                    h_0 = v[-1][1]
+                    d_1, h_k = t[0][0], t[-1][1]
+                    if rank[d_1][h_k] < rank[d_1][h_0]:
+                        h = h_0
+                    else:
+                        v.append((d_1, h_k))
+                        h = h_k
+    return Matching(frozenset(mu.items()))
+
+
+def receiver_optimal_reference(p: Profile) -> tuple[Matching, list[tuple]]:
+    """receiver_optimal with institutions proposing: a smallest-index-first proposing run, then the chain phase."""
+    rank = [{h: r for r, h in enumerate(ranked)} for ranked in p.applicant_prefs]
+    events: list[tuple] = []
+    nxt = [0] * p.n_institutions
+    mu: dict[int, int] = {}
+    free = [h for h in range(p.n_institutions) if p.institution_prios[h]]
+    while free:
+        h = min(free)
+        free.remove(h)
+        prios = p.institution_prios[h]
+        while nxt[h] < len(prios):
+            d = prios[nxt[h]]
+            events.append(("read", INSTITUTION, h, nxt[h], d))
+            nxt[h] += 1
+            events.append(("lookup", APPLICANT, d, h))
+            r = rank[d].get(h)
+            if r is not None and (d not in mu or r < rank[d][mu[d]]):
+                if d in mu:
+                    free.append(mu[d])
+                mu[d] = h
+                break
+    return chain_phase_reference(p, mu, nxt, set(), events), events
+
+
+def _ttc_cycles_reference(point_d: dict[int, int], point_h: dict[int, int]) -> list[list[int]]:
+    """All applicant cycles d0 -> point_d[d0] -> d1 -> ... -> d0; walks reaching a non-pointing applicant end."""
+    cycles: list[list[int]] = []
+    state: dict[int, int] = {}  # applicant -> 0 in progress, 1 done
+    for start in sorted(point_d):
+        if start in state:
+            continue
+        path: list[int] = []
+        d = start
+        while d not in state and d in point_d:
+            state[d] = 0
+            path.append(d)
+            d = point_h[point_d[d]]
+        if state.get(d) == 0:
+            cycles.append(path[path.index(d):])
+        for x in path:
+            state[x] = 1
+    return cycles
+
+
+def ttc_rounds_reference(
+    p: Profile, kind: str, seed: int = 0, absent: int | None = None
+) -> tuple[dict[int, int], frozenset[int]]:
+    """Trading-cycle rounds rebuilt from scratch each round; returns the trades and the surviving institutions.
+
+    Each round removes exhausted agents until none is left, points every
+    remaining agent at its first remaining choice, finds all cycles, and
+    executes the ones the cycle policy kind picks. The absent applicant
+    stays without pointing and never trades.
+    """
+    prefs, prios = p.applicant_prefs, p.institution_prios
+    rng = random.Random(seed) if kind == "seeded-random" else None
+    active_d = set(range(p.n_applicants))
+    active_h = set(range(p.n_institutions))
+    out: dict[int, int] = {}
+    while True:
+        changed = True
+        while changed:
+            gone_d = [d for d in active_d if d != absent and not any(h in active_h for h in prefs[d])]
+            active_d.difference_update(gone_d)
+            gone_h = [h for h in active_h if not any(d in active_d for d in prios[h])]
+            active_h.difference_update(gone_h)
+            changed = bool(gone_d or gone_h)
+        point_d = {d: next(h for h in prefs[d] if h in active_h) for d in active_d if d != absent}
+        point_h = {h: next(d for d in prios[h] if d in active_d) for h in active_h}
+        cycles = _ttc_cycles_reference(point_d, point_h)
+        if not cycles:
+            return out, frozenset(active_h)
+        if kind == "lowest-index-applicant-first":
+            chosen = [min(cycles, key=min)]
+        elif kind == "all-simultaneous":
+            chosen = cycles
+        else:
+            chosen = [cycles[rng.randrange(len(cycles))]]
+        for cycle in chosen:
+            for d in cycle:
+                h = point_d[d]
+                out[d] = h
+                active_d.remove(d)
+                active_h.remove(h)
 
 
 def _is_stable(p: Profile, mu: dict[int, int]) -> bool:
