@@ -20,6 +20,7 @@ import sys
 import traceback
 from pathlib import Path
 
+from mdm import SUITE_NAMES
 from mdm.auctions import (
     AuctionOutcome,
     parse_auction,
@@ -27,18 +28,6 @@ from mdm.auctions import (
     spa_outcome,
     vcg_additive,
     vcg_unit_demand,
-)
-from mdm.descriptions import count_induced_functions
-from mdm.generators import (
-    BitProbeParams,
-    CycleGridParams,
-    fixture_budget_set,
-    fixture_empty_menu,
-    fixture_nonlocal_menu,
-    fixture_nonlocal_outcome,
-    gen_bit_probe_auction,
-    gen_cycle_grid,
-    gen_random_market,
 )
 from mdm.market import (
     InstanceError,
@@ -66,8 +55,6 @@ from mdm.menus import (
     menu_sd,
     menu_ttc,
 )
-from mdm.verify import SUITE_NAMES, run_all, run_suite
-from mdm.voting import median_outcome, parse_votes
 
 _MATCHING_MECHANISMS = ("sd", "ttc", "apda", "ipda", "receiver-optimal")
 _AUCTION_MECHANISMS = ("spa", "vcg-additive", "vcg-unit-demand")
@@ -178,6 +165,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         payload = {"mechanism": mech, **_auction_payload(out)}
         _emit(payload, args.format, _auction_text(payload))
         return 0
+    from mdm.voting import median_outcome, parse_votes
+
     votes = parse_votes(raw)
     chosen = median_outcome(votes)
     _emit({"mechanism": mech, "outcome": chosen}, args.format, f"outcome: {chosen}\n")
@@ -214,6 +203,8 @@ def cmd_menu(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from mdm.verify import run_all, run_suite
+
     trials: int | str | None = args.trials
     if trials is not None and trials != "exhaustive":
         try:
@@ -272,6 +263,8 @@ def cmd_describe(args: argparse.Namespace) -> int:
 
 
 def cmd_states(args: argparse.Namespace) -> int:
+    from mdm.descriptions import count_induced_functions
+
     observed = count_induced_functions(args.n)
     predicted = 2 ** ((args.n // 4) ** 2)
     ok = observed == predicted
@@ -308,6 +301,18 @@ def _parse_bits(raw: str) -> tuple[tuple[int, ...], ...]:
 
 
 def _gen_instance(args: argparse.Namespace) -> tuple[str, dict[str, object]]:
+    from mdm.generators import (
+        BitProbeParams,
+        CycleGridParams,
+        fixture_budget_set,
+        fixture_empty_menu,
+        fixture_nonlocal_menu,
+        fixture_nonlocal_outcome,
+        gen_bit_probe_auction,
+        gen_cycle_grid,
+        gen_random_market,
+    )
+
     family = args.family
     if family == "random":
         if args.n is None:

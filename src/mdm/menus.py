@@ -56,6 +56,7 @@ from mdm.mechanisms import (
 )
 
 Menu = frozenset[int]
+DagNode = tuple[int, int | None]  # (applicant, fallback institution or None)
 
 MECHANISM_TAGS = ("sd", "ttc", "apda")
 
@@ -248,36 +249,53 @@ class UnrollDag:
     per menu institution, and unrolling the chain hanging from one source
     realizes that menu choice. Structural rules (out-degree at most one,
     sources only for the designated applicant, every other applicant in at
-    most one node) are asserted on every mutation.
+    most one node) are enforced by the mutators and asserted by check.
+
+    The DAG indexes its nodes by fallback institution (by_fallback), counts
+    its sources, and remembers the nodes each mutation touches (for a removed
+    node, also its former predecessors and successor) and the applicants
+    whose tentative match move wrote. The check after each step of the drain
+    covers only those nodes and applicants, plus the frontier. The check at
+    the end of each drained chain covers every node and index entry, and
+    rebuilds the fallback index and the source count.
     """
 
     def __init__(self, applicant: int) -> None:
         self.applicant = applicant
-        self.nodes: set[tuple[int, int | None]] = set()
-        self.out: dict[tuple[int, int | None], tuple[int, int | None]] = {}
-        self.preds: dict[tuple[int, int | None], set[tuple[int, int | None]]] = {}
-        self.node_of: dict[int, tuple[int, int | None]] = {}
+        self.nodes: set[DagNode] = set()
+        self.out: dict[DagNode, DagNode] = {}
+        self.preds: dict[DagNode, set[DagNode]] = {}
+        self.node_of: dict[int, DagNode] = {}
+        self.by_fallback: dict[int | None, set[DagNode]] = {}
+        self.sources = 0
+        self._touched: set[DagNode] = set()
+        self._moved: set[int] = set()
 
     def __repr__(self) -> str:  # state dump for invariant failures
         edges = sorted((u, v) for u, v in self.out.items())
         return f"UnrollDag(applicant={self.applicant}, nodes={sorted(self.nodes)}, edges={edges})"
 
-    def add_source(self, h: int) -> tuple[int, int | None]:
+    def _insert(self, node: DagNode) -> DagNode:
+        self.nodes.add(node)
+        self.by_fallback.setdefault(node[1], set()).add(node)
+        self._touched.add(node)
+        return node
+
+    def add_source(self, h: int) -> DagNode:
         node = (self.applicant, h)
         if node in self.nodes:
             raise AssertionError(f"duplicate source {node} in {self!r}")
-        self.nodes.add(node)
-        return node
+        self.sources += 1
+        return self._insert(node)
 
-    def add_node(self, d: int, h: int | None) -> tuple[int, int | None]:
+    def add_node(self, d: int, h: int | None) -> DagNode:
         node = (d, h)
         if d == self.applicant or d in self.node_of or node in self.nodes:
             raise AssertionError(f"cannot add node {node} to {self!r}")
-        self.nodes.add(node)
         self.node_of[d] = node
-        return node
+        return self._insert(node)
 
-    def add_edge(self, u: tuple[int, int | None], v: tuple[int, int | None]) -> None:
+    def add_edge(self, u: DagNode, v: DagNode) -> None:
         if u not in self.nodes or v not in self.nodes:
             raise AssertionError(f"edge {u}->{v} touches unknown node in {self!r}")
         if u in self.out:
@@ -286,15 +304,22 @@ class UnrollDag:
             raise AssertionError(f"edge into source {v} in {self!r}")
         self.out[u] = v
         self.preds.setdefault(v, set()).add(u)
+        self._touched.add(u)
+        self._touched.add(v)
 
-    def chain_from(self, node: tuple[int, int | None]) -> list[tuple[int, int | None]]:
+    def move(self, mu: dict[int, int], d: int, h: int) -> None:
+        """Set applicant d's tentative match to h and mark her for the next check."""
+        mu[d] = h
+        self._moved.add(d)
+
+    def chain_from(self, node: DagNode) -> list[DagNode]:
         """The maximal path of out-edges starting at node."""
         chain = [node]
         while chain[-1] in self.out:
             chain.append(self.out[chain[-1]])
         return chain
 
-    def unique_pred_chain(self, node: tuple[int, int | None]) -> list[tuple[int, int | None]]:
+    def unique_pred_chain(self, node: DagNode) -> list[DagNode]:
         """The maximal path from node whose later nodes each have exactly one predecessor."""
         chain = [node]
         while True:
@@ -303,59 +328,114 @@ class UnrollDag:
                 return chain
             chain.append(succ)
 
-    def remove_chain(self, chain: list[tuple[int, int | None]]) -> None:
+    def remove_chain(self, chain: list[DagNode]) -> None:
+        touched = self._touched
         for node in chain:
             for u in self.preds.pop(node, set()):
                 if self.out.get(u) == node:
                     del self.out[u]
+                touched.add(u)
             succ = self.out.pop(node, None)
             if succ is not None:
                 self.preds[succ].discard(node)
+                touched.add(succ)
             self.nodes.remove(node)
-            if node[0] != self.applicant:
+            group = self.by_fallback[node[1]]
+            group.discard(node)
+            if not group:
+                del self.by_fallback[node[1]]
+            if node[0] == self.applicant:
+                self.sources -= 1
+            else:
                 del self.node_of[node[0]]
+            touched.add(node)
+
+    def _fail(self, reason: str) -> None:
+        raise AssertionError(f"unroll dag invariant violated: {reason}\n{self!r}")
+
+    def _check_node(self, x: DagNode, mu: dict[int, int], menu: set[int]) -> None:
+        """Assert the rules at one node: its edges, its kind, its index entries.
+
+        A node no longer in the DAG must have left no index entry behind.
+        """
+        out, preds = self.out, self.preds
+        if x not in self.nodes:
+            if self.node_of.get(x[0]) == x:
+                self._fail(f"node index broken for applicant {x[0]}")
+            if x in out or x in preds or x in self.by_fallback.get(x[1], ()):
+                self._fail(f"removed node {x} left an index entry behind")
+            return
+        v = out.get(x)
+        if v is not None:
+            if x not in preds.get(v, ()):
+                self._fail(f"edge {x}->{v} missing from predecessor index")
+            if mu.get(v[0]) != x[1]:
+                self._fail(f"edge {x}->{v} but tentative match of {v[0]} is {mu.get(v[0])}")
+        us = preds.get(x, ())
+        for u in us:
+            if out.get(u) != x:
+                self._fail(f"stale predecessor {u} recorded for {x}")
+            if mu.get(x[0]) != u[1]:
+                self._fail(f"edge {u}->{x} but tentative match of {x[0]} is {mu.get(x[0])}")
+        if x[0] == self.applicant:
+            if us:
+                self._fail(f"source {x} has predecessors")
+            if x[1] not in menu:
+                self._fail(f"source {x} outside the menu")
+        else:
+            if not us:
+                self._fail(f"non-source {x} has no predecessors")
+            if self.node_of.get(x[0]) != x:
+                self._fail(f"node index broken for applicant {x[0]}")
+        if x not in self.by_fallback.get(x[1], ()):
+            self._fail(f"fallback index misses node {x}")
 
     def check(
         self,
         mu: dict[int, int],
-        frontier: set[tuple[int, int | None]] | None,
+        frontier: set[DagNode] | None,
         proposer: int | None,
         menu: set[int],
     ) -> None:
-        """Assert the structural rules against the current tentative state."""
+        """Assert the structural rules against the current tentative state.
 
-        def fail(reason: str) -> None:
-            raise AssertionError(f"unroll dag invariant violated: {reason}\n{self!r}")
-
-        for u, v in self.out.items():
-            if u not in self.preds.get(v, ()):
-                fail(f"edge {u}->{v} missing from predecessor index")
-            if mu.get(v[0]) != u[1]:
-                fail(f"edge {u}->{v} but tentative match of {v[0]} is {mu.get(v[0])}")
-        for v, us in self.preds.items():
-            for u in us:
-                if self.out.get(u) != v:
-                    fail(f"stale predecessor {u} recorded for {v}")
-        for node in self.nodes:
-            if node[0] == self.applicant:
-                if self.preds.get(node):
-                    fail(f"source {node} has predecessors")
-                if node[1] not in menu:
-                    fail(f"source {node} outside the menu")
-            elif not self.preds.get(node):
-                fail(f"non-source {node} has no predecessors")
-        for d, node in self.node_of.items():
-            if node not in self.nodes or node[0] != d:
-                fail(f"node index broken for applicant {d}")
-        if sum(node[0] != self.applicant for node in self.nodes) != len(self.node_of):
-            fail("an applicant appears in two nodes")
-        if proposer is not None and frontier is not None:
-            with_h = {node for node in self.nodes if node[1] == proposer}
+        With a proposer and a frontier, check what changed since the last
+        check, and that the frontier is exactly the proposer's nodes and has
+        no out-edges; otherwise check the whole DAG (see the class docstring).
+        """
+        step = proposer is not None and frontier is not None
+        if step:
+            todo = self._touched
+            for d in self._moved:
+                node = self.node_of.get(d)
+                if node is not None:
+                    todo.add(node)
+        else:
+            todo = self.nodes | self.out.keys() | self.preds.keys()
+        self._touched = set()
+        self._moved.clear()
+        for x in todo:
+            self._check_node(x, mu, menu)
+        if not step:
+            for d, node in self.node_of.items():
+                if node not in self.nodes or node[0] != d:
+                    self._fail(f"node index broken for applicant {d}")
+            by_fallback: dict[int | None, set[DagNode]] = {}
+            for node in self.nodes:
+                by_fallback.setdefault(node[1], set()).add(node)
+            if by_fallback != self.by_fallback:
+                self._fail("fallback index does not match the nodes")
+            if sum(node[0] == self.applicant for node in self.nodes) != self.sources:
+                self._fail(f"source count {self.sources} does not match the nodes")
+        if len(self.nodes) - self.sources != len(self.node_of):
+            self._fail("an applicant appears in two nodes")
+        if step:
+            with_h = self.by_fallback.get(proposer, set())
             if frontier != with_h:
-                fail(f"frontier {sorted(frontier)} != nodes of proposer {proposer} {sorted(with_h)}")
+                self._fail(f"frontier {sorted(frontier)} != nodes of proposer {proposer} {sorted(with_h)}")
             for node in frontier:
                 if node in self.out:
-                    fail(f"frontier node {node} has an out-edge")
+                    self._fail(f"frontier node {node} has an out-edge")
 
 
 @dataclass(frozen=True)
@@ -392,9 +472,14 @@ def _hold_run(
     n, m = q.n_applicants, q.n_institutions
     hold_names = tuple(f"{name}@hold" for name in q.institution_names)
     hold_prefs = tuple((j,) for j in range(m))
-    hold_prios = tuple(
-        tuple(n + j if d == i else d for d in q.institution_prios[j]) for j in range(m)
-    )
+
+    def hold_slot(j: int, prios: tuple[int, ...]) -> tuple[int, ...]:
+        if i not in prios:
+            return prios
+        r = prios.index(i)
+        return prios[:r] + (n + j,) + prios[r + 1 :]
+
+    hold_prios = tuple(hold_slot(j, prios) for j, prios in enumerate(q.institution_prios))
     hold = Profile._derive(
         q.applicant_names + hold_names, q.institution_names, q.applicant_prefs + hold_prefs, hold_prios,
         checked=True, applicant_rank=lambda: q.applicant_rank + tuple({j: 0} for j in range(m)),
@@ -477,7 +562,6 @@ def menu_da_plan(i: int, p: Profile, log: QueryLog | None = None) -> MenuPlan:
     mu, nxt, captured = _hold_run(q, i, log)
     menu: set[int] = set(captured)
     dag = UnrollDag(i)
-    rank = q.applicant_rank
 
     pending = list(reversed(captured))
     while pending:
@@ -498,7 +582,7 @@ def menu_da_plan(i: int, p: Profile, log: QueryLog | None = None) -> MenuPlan:
                 for u in frontier:
                     dag.add_edge(u, node)
                 frontier = {node}
-                mu[d] = h
+                dag.move(mu, d, h)
                 h = fallback
             else:
                 h = _collide(q, mu, dag, frontier, d, h)
@@ -522,7 +606,7 @@ def _collide(
     q: Profile,
     mu: dict[int, int],
     dag: UnrollDag,
-    frontier: set[tuple[int, int | None]],
+    frontier: set[DagNode],
     d: int,
     h: int,
 ) -> int:
@@ -561,7 +645,7 @@ def _collide(
         frontier.clear()
         frontier.add(node)
     frontier.update(preds1)
-    mu[d] = h
+    dag.move(mu, d, h)
     return cur
 
 

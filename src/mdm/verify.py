@@ -16,6 +16,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+from mdm import SUITE_NAMES
 from mdm.auctions import (
     ValuationMatrix,
     max_weight_matching,
@@ -62,17 +63,6 @@ from mdm.voting import (
     median_menu_select,
     median_outcome,
     serialize_votes,
-)
-
-SUITE_NAMES = (
-    "menus",
-    "stability",
-    "strategyproofness",
-    "rural",
-    "rotations",
-    "plan",
-    "auctions",
-    "voting",
 )
 
 # (size, trials) used when the caller does not override them. Sizes are

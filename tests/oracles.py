@@ -362,3 +362,45 @@ def dp_menu_unit_demand(i: int, values: Sequence[Sequence[int]]) -> tuple[int, .
 
 def median_reference(votes: Sequence[int]) -> int:
     return int(statistics.median(votes))
+
+
+def unroll_dag_check_reference(dag, mu: dict[int, int], frontier, proposer: int | None, menu: set[int]) -> None:
+    """The unroll-DAG rules by a full rescan, as UnrollDag.check ran before it went incremental.
+
+    Reads only the DAG's nodes, out, preds and node_of, and raises
+    AssertionError with the reason texts of UnrollDag.check.
+    """
+
+    def fail(reason: str) -> None:
+        raise AssertionError(f"unroll dag invariant violated: {reason}\n{dag!r}")
+
+    i = dag.applicant
+    for u, v in dag.out.items():
+        if u not in dag.preds.get(v, ()):
+            fail(f"edge {u}->{v} missing from predecessor index")
+        if mu.get(v[0]) != u[1]:
+            fail(f"edge {u}->{v} but tentative match of {v[0]} is {mu.get(v[0])}")
+    for v, us in dag.preds.items():
+        for u in us:
+            if dag.out.get(u) != v:
+                fail(f"stale predecessor {u} recorded for {v}")
+    for node in dag.nodes:
+        if node[0] == i:
+            if dag.preds.get(node):
+                fail(f"source {node} has predecessors")
+            if node[1] not in menu:
+                fail(f"source {node} outside the menu")
+        elif not dag.preds.get(node):
+            fail(f"non-source {node} has no predecessors")
+    for d, node in dag.node_of.items():
+        if node not in dag.nodes or node[0] != d:
+            fail(f"node index broken for applicant {d}")
+    if sum(node[0] != i for node in dag.nodes) != len(dag.node_of):
+        fail("an applicant appears in two nodes")
+    if proposer is not None and frontier is not None:
+        with_h = {node for node in dag.nodes if node[1] == proposer}
+        if frontier != with_h:
+            fail(f"frontier {sorted(frontier)} != nodes of proposer {proposer} {sorted(with_h)}")
+        for node in frontier:
+            if node in dag.out:
+                fail(f"frontier node {node} has an out-edge")

@@ -1,7 +1,11 @@
 """Command-line behavior: payload shapes, exit codes, determinism."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -238,3 +242,18 @@ def test_solve_vcg_unit_demand_30_by_30(tmp_path, capsys):
     assert len(doc["allocation"]) == len(doc["prices"]) == 30
     held = [items[0] for items in doc["allocation"] if items]
     assert len(held) == len(set(held))
+
+
+def test_cli_import_leaves_subcommand_modules_unloaded():
+    # Market commands must not pay for the verify suites, descriptions,
+    # generators or voting at start-up; each subcommand imports its own.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = (
+        "import mdm.cli, sys; "
+        "print(' '.join(m for m in ('mdm.verify', 'mdm.descriptions', 'mdm.generators', 'mdm.voting', "
+        "'concurrent.futures') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
