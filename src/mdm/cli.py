@@ -286,10 +286,10 @@ def cmd_states(args: argparse.Namespace) -> int:
 def _parse_subsets(raw: str | None, k: int) -> tuple[tuple[int, ...], ...]:
     if raw is None:
         return ((),) * k
-    groups = raw.split("/")
-    return tuple(
-        tuple(int(x) for x in g.split(",") if x.strip() != "") for g in groups
-    )
+    try:
+        return tuple(tuple(int(x) for x in g.split(",") if x.strip() != "") for g in raw.split("/"))
+    except ValueError:
+        raise InstanceError(f"--subsets must be '/'-separated comma lists of integers, got {raw!r}") from None
 
 
 def _parse_bits(raw: str) -> tuple[tuple[int, ...], ...]:
@@ -330,11 +330,10 @@ def _gen_instance(args: argparse.Namespace) -> tuple[str, dict[str, object]]:
             raise InstanceError("--n is required for the cycle-grid family")
         k = args.n // 4
         subsets = _parse_subsets(args.subsets, k)
-        truncate = (
-            tuple(int(b) != 0 for b in args.truncate.split(","))
-            if args.truncate
-            else (False,) * k
-        )
+        try:
+            truncate = tuple(int(b) != 0 for b in args.truncate.split(",")) if args.truncate else (False,) * k
+        except ValueError:
+            raise InstanceError(f"--truncate must be comma-separated 0/1 bits, got {args.truncate!r}") from None
         params = CycleGridParams(args.n, subsets, truncate)
         meta = {
             "family": family,

@@ -12,7 +12,10 @@ A menu description for player i is a description whose second-to-last layer
 is the first to query i. Every vertex there is labeled with i's menu, the
 set of outcomes her report can still reach, and the sinks carry her final
 outcome. ``check_menu_description`` verifies that shape against the
-mechanism itself by exhaustive enumeration.
+mechanism itself by exhaustive enumeration. Once no vertex above the menu
+layer queries i, the menu-layer vertex a profile reaches depends only on the
+other players' types, so the check walks there once per distinct profile of
+the others and takes a single step from it for each of i's types.
 
 The module also ships a worked example, the bidder-by-bidder running-maximum
 description of a second-price auction, and a state-counting experiment that
@@ -239,45 +242,34 @@ def validate_description(d: ExtensiveFormDescription) -> None:
         raise DescriptionError(problems)
 
 
-def _type_of(types, player: int, vid: VertexId):
+def _step(v: Vertex, types, vid: VertexId) -> VertexId:
+    """The table entry that decision vertex ``v`` at ``vid`` picks for its player's answer."""
     try:
-        return types[player]
+        ans = types[v.player]
     except (IndexError, KeyError):
         raise DescriptionError(
-            f"vertex {vid[0]}:{vid[1]} queries player {player} but the profile has no such type"
+            f"vertex {vid[0]}:{vid[1]} queries player {v.player} but the profile has no such type"
         ) from None
+    if v.query.kind == "rank":
+        seq = tuple(ans)
+        ans = seq[v.query.arg] if v.query.arg < len(seq) else END_OF_LIST
+    if ans not in v.table:
+        raise DescriptionError(f"vertex {vid[0]}:{vid[1]} got answer {ans!r} outside its table")
+    return v.table[ans]
 
 
-def _answer(q: Query, t):
-    if q.kind == "rank":
-        seq = tuple(t)
-        return seq[q.arg] if q.arg < len(seq) else END_OF_LIST
-    return t
-
-
-def _walk(d: ExtensiveFormDescription, types) -> list[tuple[VertexId, Vertex]]:
-    """The evaluation path as (vertex id, vertex) pairs, source to sink."""
-    vid = d.source
-    path: list[tuple[VertexId, Vertex]] = []
+def _walk_to(d: ExtensiveFormDescription, types, vid: VertexId, layer: int) -> tuple[VertexId, Vertex]:
+    """The first vertex on ``layer`` along the evaluation path from ``vid``, or the sink that ends it sooner."""
     while True:
         v = d.vertex(vid)
-        path.append((vid, v))
-        if v.succ is not None:
-            vid = v.succ
-            continue
-        if v.table is None:
-            return path
-        ans = _answer(v.query, _type_of(types, v.player, vid))
-        if ans not in v.table:
-            raise DescriptionError(
-                f"vertex {vid[0]}:{vid[1]} got answer {ans!r} outside its table"
-            )
-        vid = v.table[ans]
+        if vid[0] == layer or (v.succ is None and v.table is None):
+            return vid, v
+        vid = v.succ if v.succ is not None else _step(v, types, vid)
 
 
 def evaluate(d: ExtensiveFormDescription, types) -> Hashable:
     """Follow the evaluation path on a full type profile; return the sink label."""
-    return _walk(d, types)[-1][1].label
+    return _walk_to(d, types, d.source, len(d.layers))[1].label
 
 
 def memory_requirement(d: ExtensiveFormDescription) -> MemoryReport:
@@ -306,6 +298,13 @@ def check_menu_description(
     menu; (c) the sink reached shows i's outcome. Raises
     MenuDescriptionError for the first violated clause, with the offending
     profile as witness where one exists.
+
+    Clause (a) is checked first, so no vertex above the menu layer queries
+    i, and profiles that agree on every other player's type (including which
+    players are missing) reach the same menu-layer vertex. Each walk that
+    gets there is remembered under the profile with i's entry removed (unless
+    a type is unhashable); from it, one step on i's answer leads to the sink.
+    Both ``mech`` callbacks still run on every profile, in domain order.
     """
     validate_description(d)
     if len(d.layers) < 2:
@@ -326,15 +325,25 @@ def check_menu_description(
             raise MenuDescriptionError(
                 "b", f"menu-layer vertex {menu_layer}:{idx} carries no menu label"
             )
+    walks: dict[tuple, tuple[VertexId, Vertex]] = {}
     for types in domain:
         types = tuple(types)
-        path = _walk(d, types)
-        visited = {vid[0]: (vid, v) for vid, v in path}
-        if menu_layer not in visited:
-            raise MenuDescriptionError(
-                "b", "the evaluation path ends before the menu layer", witness=types
-            )
-        vid, v = visited[menu_layer]
+        others = types[:i] + types[i + 1 :]
+        try:
+            hit = walks.get(others)
+        except TypeError:  # an unhashable type: walk this profile and remember nothing
+            hit = others = None
+        if hit is None:
+            hit = _walk_to(d, types, d.source, menu_layer)
+            if hit[0][0] != menu_layer:
+                raise MenuDescriptionError("b", "the evaluation path ends before the menu layer", witness=types)
+            if others is not None:
+                walks[others] = hit
+        vid, v = hit
+        sink_vid = _step(v, types, vid)
+        sink = d.vertex(sink_vid)
+        if sink.table is not None or sink.succ is not None:  # a final-layer query with an empty table
+            sink_vid, sink = _walk_to(d, types, sink_vid, len(d.layers))
         expected_menu = mech.menu(types)
         if v.label != expected_menu:
             raise MenuDescriptionError(
@@ -342,7 +351,6 @@ def check_menu_description(
                 f"vertex {vid[0]}:{vid[1]} shows menu {v.label!r} but the menu is {expected_menu!r}",
                 witness=types,
             )
-        sink_vid, sink = path[-1]
         expected = mech.i_outcome(types)
         if sink.label != expected:
             raise MenuDescriptionError(

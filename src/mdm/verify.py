@@ -600,6 +600,9 @@ def run_suite(
         raise InstanceError(f"unknown suite {suite!r}; pick from {', '.join(SUITE_NAMES + ('all',))}")
     name = suite
     default_size, default_trials = _DEFAULTS[suite]
+    size = size if size is not None else default_size
+    if size < 1:
+        raise InstanceError(f"suite size must be at least 1, got {size}")
     if trials == "exhaustive":
         if suite != "strategyproofness":
             raise InstanceError("only the strategyproofness suite has an exhaustive mode")
@@ -612,9 +615,9 @@ def run_suite(
     else:
         raise InstanceError(f"invalid trial count {trials!r}")
     if suite == "voting":
-        n_trials = min(n_trials, (size or default_size) ** 3)
+        n_trials = min(n_trials, size**3)
     start = time.perf_counter()
-    failures = _run_trials(name, size or default_size, n_trials, seed)
+    failures = _run_trials(name, size, n_trials, seed)
     wall = time.perf_counter() - start
     return VerificationReport(suite, n_trials, seed, tuple(failures), wall)
 

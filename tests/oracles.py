@@ -12,6 +12,17 @@ import random
 import statistics
 from collections.abc import Callable, Sequence
 
+from mdm.descriptions import (
+    END_OF_LIST,
+    DescriptionError,
+    ExtensiveFormDescription,
+    MechanismView,
+    MenuDescriptionError,
+    Query,
+    Vertex,
+    VertexId,
+    validate_description,
+)
 from mdm.market import APPLICANT, INSTITUTION, Matching, Profile
 
 
@@ -404,3 +415,95 @@ def unroll_dag_check_reference(dag, mu: dict[int, int], frontier, proposer: int 
         for node in frontier:
             if node in dag.out:
                 fail(f"frontier node {node} has an out-edge")
+
+
+def _type_of(types, player: int, vid: VertexId):
+    try:
+        return types[player]
+    except (IndexError, KeyError):
+        raise DescriptionError(
+            f"vertex {vid[0]}:{vid[1]} queries player {player} but the profile has no such type"
+        ) from None
+
+
+def _answer(q: Query, t):
+    if q.kind == "rank":
+        seq = tuple(t)
+        return seq[q.arg] if q.arg < len(seq) else END_OF_LIST
+    return t
+
+
+def _walk(d: ExtensiveFormDescription, types) -> list[tuple[VertexId, Vertex]]:
+    """The evaluation path as (vertex id, vertex) pairs, source to sink."""
+    vid = d.source
+    path: list[tuple[VertexId, Vertex]] = []
+    while True:
+        v = d.vertex(vid)
+        path.append((vid, v))
+        if v.succ is not None:
+            vid = v.succ
+            continue
+        if v.table is None:
+            return path
+        ans = _answer(v.query, _type_of(types, v.player, vid))
+        if ans not in v.table:
+            raise DescriptionError(
+                f"vertex {vid[0]}:{vid[1]} got answer {ans!r} outside its table"
+            )
+        vid = v.table[ans]
+
+
+def check_menu_description_reference(
+    d: ExtensiveFormDescription,
+    mech: MechanismView,
+    i: int,
+    domain,
+) -> None:
+    """check_menu_description as it ran before it remembered walks: a full walk per profile.
+
+    Keeps the library's structure check and error classes; the walk and the
+    per-profile loop are its own.
+    """
+    validate_description(d)
+    if len(d.layers) < 2:
+        raise MenuDescriptionError("b", "a menu description needs a menu layer before its sinks")
+    menu_layer = len(d.layers) - 2
+    for li in range(menu_layer):
+        for idx, v in enumerate(d.layers[li]):
+            if v.player == i:
+                raise MenuDescriptionError(
+                    "a", f"vertex {li}:{idx} queries player {i} before the menu layer"
+                )
+    for idx, v in enumerate(d.layers[menu_layer]):
+        if v.table is None or v.player != i:
+            raise MenuDescriptionError(
+                "b", f"menu-layer vertex {menu_layer}:{idx} does not query player {i}"
+            )
+        if v.label is None:
+            raise MenuDescriptionError(
+                "b", f"menu-layer vertex {menu_layer}:{idx} carries no menu label"
+            )
+    for types in domain:
+        types = tuple(types)
+        path = _walk(d, types)
+        visited = {vid[0]: (vid, v) for vid, v in path}
+        if menu_layer not in visited:
+            raise MenuDescriptionError(
+                "b", "the evaluation path ends before the menu layer", witness=types
+            )
+        vid, v = visited[menu_layer]
+        expected_menu = mech.menu(types)
+        if v.label != expected_menu:
+            raise MenuDescriptionError(
+                "b",
+                f"vertex {vid[0]}:{vid[1]} shows menu {v.label!r} but the menu is {expected_menu!r}",
+                witness=types,
+            )
+        sink_vid, sink = path[-1]
+        expected = mech.i_outcome(types)
+        if sink.label != expected:
+            raise MenuDescriptionError(
+                "c",
+                f"sink {sink_vid[0]}:{sink_vid[1]} shows {sink.label!r} but the outcome is {expected!r}",
+                witness=types,
+            )

@@ -257,3 +257,20 @@ def test_cli_import_leaves_subcommand_modules_unloaded():
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+@pytest.mark.parametrize("suite", ["menus", "voting"])
+def test_verify_size_zero_exits_2(suite, capsys):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--n", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: suite size must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize(("flag", "value"), [("--subsets", "1,x/2"), ("--truncate", "x")])
+def test_gen_cycle_grid_bad_flag_is_named(flag, value, capsys):
+    code, out, err = run(capsys, "gen", "--family", "cycle-grid", "--n", "8", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} must be ") and err.count("\n") == 1
+    assert repr(value) in err
