@@ -8,8 +8,8 @@ family), gen (write instance files with a parameter sidecar).
 
 Output is JSON on standard output unless --format text is given; describe
 defaults to text.  Exit codes: 0 success, 1 verification failure, 2 usage
-or input error, 3 internal error (any other exception, reported on one
-stderr line).
+or input error, 3 internal error (any other exception).  Exits 2 and 3
+write one stderr line.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import json
 import sys
 import traceback
 from pathlib import Path
+from typing import NoReturn
 
 from mdm import SUITE_NAMES
 from mdm.auctions import (
@@ -387,8 +388,15 @@ def _add_format(sub: argparse.ArgumentParser, default: str = "json") -> None:
     sub.add_argument("--format", choices=("json", "text"), default=default)
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose rejections write one stderr line; subparsers inherit the class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: error: {' '.join(message.split())}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mdm", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="mdm", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 
     solve = commands.add_parser("solve", help="run a mechanism on an instance file")

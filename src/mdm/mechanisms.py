@@ -15,7 +15,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from mdm.market import (
     APPLICANT,
@@ -83,16 +83,16 @@ class QueryLog:
         self.events.append(("lookup", side, owner, subject))
 
 
-def _flip_side(side: str) -> str:
-    return INSTITUTION if side == APPLICANT else APPLICANT
-
-
-def _flip_events(events: Iterable[tuple]) -> list[tuple]:
-    return [(e[0], _flip_side(e[1]), *e[2:]) for e in events]
-
-
-def _flip_matching(m: Matching) -> Matching:
-    return Matching(frozenset((b, a) for a, b in m.pairs))
+def _on_transposed(
+    run: Callable[[Profile, object, QueryLog | None], Matching], p: Profile, arg: object, log: QueryLog | None
+) -> Matching:
+    """run(p.transposed(), arg, log) with its matching and logged events flipped back to p's sides."""
+    inner = QueryLog() if log is not None else None
+    m = run(p.transposed(), arg, inner)
+    if log is not None:
+        flip = {APPLICANT: INSTITUTION, INSTITUTION: APPLICANT}
+        log.events.extend((e[0], flip[e[1]], *e[2:]) for e in inner.events)
+    return Matching(frozenset((h, d) for d, h in m.pairs))
 
 
 class _Pool:
@@ -299,20 +299,18 @@ def ipda(
     matching.
     """
     validate_profile(p)
-    inner = QueryLog() if log is not None else None
-    m = apda(p.transposed(), policy, inner)
-    if log is not None:
-        log.events.extend(_flip_events(inner.events))
-    return _flip_matching(m)
+    return _on_transposed(apda, p, policy, log)
 
 
 def _next_accepting(
-    p: Profile, mu_d: dict[int, int], nxt: list[int], h: int, log: QueryLog | None
+    p: Profile, mu_d: dict[int, int], nxt: list[int], h: int, log: QueryLog | None, capture: int | None = None
 ) -> int | None:
     """Advance h down its priority list to the next applicant who would accept it.
 
     An applicant accepts h if she lists it above her current assignment in
-    mu_d; being unmatched is below any listed institution.
+    mu_d; being unmatched is below any listed institution. The capture
+    applicant, whose list must be empty, takes h unconditionally: the scan
+    stops one past her and returns her, and her rank lookup is not logged.
     """
     prios = p.institution_prios[h]
     rank = p.applicant_rank
@@ -321,7 +319,8 @@ def _next_accepting(
         d = prios[k]
         if log is not None:
             log.read(INSTITUTION, h, k, d)
-            log.lookup(APPLICANT, d, h)
+            if d != capture:
+                log.lookup(APPLICANT, d, h)
         k += 1
         rank_d = rank[d]
         r = rank_d.get(h)
@@ -330,8 +329,39 @@ def _next_accepting(
             if cur is None or r < rank_d[cur]:
                 nxt[h] = k
                 return d
+        elif capture is not None and d == capture:  # an int compares with None slowly
+            nxt[h] = k
+            return d
     nxt[h] = k
     return None
+
+
+def _propose(
+    p: Profile, mu_d: dict[int, int], nxt: list[int], log: QueryLog | None, capture: int | None = None
+) -> list[int]:
+    """Institution-proposing deferred acceptance, resumed from the state (mu_d, nxt).
+
+    Each institution holding nobody in mu_d proposes on from its pointer,
+    smallest index first; displaced ones rejoin the pool. An institution
+    reaching the capture applicant stops there for good. mu_d and nxt are
+    mutated in place; returns the captured institutions, unsorted.
+    """
+    held = set(mu_d.values())
+    pool = _Pool(ProposalPolicy(), [h for h in range(p.n_institutions) if h not in held])
+    captured: list[int] = []
+    while pool.items:
+        h = pool.pop()
+        d = _next_accepting(p, mu_d, nxt, h, log, capture)
+        if d is None:
+            continue
+        if capture is not None and d == capture:
+            captured.append(h)
+            continue
+        displaced = mu_d.get(d)
+        mu_d[d] = h
+        if displaced is not None:
+            pool.push(displaced)
+    return captured
 
 
 def resume_receiver_optimal(
@@ -406,40 +436,25 @@ def receiver_optimal(
 
     With proposing_side="institutions" this equals apda(p) but reads each
     institution's priority list strictly top to bottom: first through an
-    institution-proposing run, then by letting institutions keep proposing
-    below their current match, recording the resulting rejection chains in a
-    list V and writing each closed chain back as a rotation. The flipped form
-    returns the institution-optimal matching while reading applicant lists in
-    rank order.
+    institution-proposing run (_propose, the loop menu_da_plan's capture run
+    shares), then by letting institutions keep proposing below their current
+    match, recording the resulting rejection chains in a list V and writing
+    each closed chain back as a rotation. The flipped form returns the
+    institution-optimal matching while reading applicant lists in rank order.
     """
     if proposing_side in (APPLICANT, "applicants"):
         validate_profile(p)
-        inner = QueryLog() if log is not None else None
-        m = receiver_optimal(p.transposed(), INSTITUTION, inner)
-        if log is not None:
-            log.events.extend(_flip_events(inner.events))
-        return _flip_matching(m)
+        return _on_transposed(receiver_optimal, p, INSTITUTION, log)
     if proposing_side not in (INSTITUTION, "institutions"):
         raise InstanceError(f"unknown proposing side {proposing_side!r}")
     validate_profile(p)
     _require_unit(p)
 
-    # Institution-proposing run. Pointers keep their final positions so the
-    # chain phase continues each institution's list right below its match.
-    # An institution proposes until someone accepts it, which holds it.
-    m = p.n_institutions
-    nxt = [0] * m  # per-institution pointer; advances monotonically, never resets
+    # Pointers keep their final positions so the chain phase continues each
+    # institution's list right below its match.
     mu_d: dict[int, int] = {}
-    pool = _Pool(ProposalPolicy(), [h for h in range(m) if p.institution_prios[h]])
-    while pool.items:
-        h = pool.pop()
-        d = _next_accepting(p, mu_d, nxt, h, log)
-        if d is not None:
-            displaced = mu_d.get(d)
-            mu_d[d] = h
-            if displaced is not None:
-                pool.push(displaced)
-
+    nxt = [0] * p.n_institutions
+    _propose(p, mu_d, nxt, log)
     return resume_receiver_optimal(p, mu_d, nxt, set(), log)
 
 

@@ -22,6 +22,10 @@ Engines and oracles:
   derives the menu plus enough bookkeeping (an unroll DAG of undoable
   rejections) to finish the applicant-optimal matching once the applicant's
   list arrives, without restarting from scratch.
+
+The plan runs receiver_optimal's proposing loop (mdm.mechanisms._propose)
+with the applicant in its capture slot: an institution reaching her stops
+there, its pointer one past her, until the drain moves it on.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from mdm.market import (
 from mdm.mechanisms import (
     CyclePolicy,
     QueryLog,
-    _next_accepting,
+    _propose,
     _ttc_rounds,
     apda,
     collapse_matching,
@@ -458,54 +462,15 @@ class MenuPlan:
     pointers: tuple[int, ...] = field(repr=False)
 
 
-def _hold_run(
-    q: Profile, i: int, log: QueryLog | None
-) -> tuple[dict[int, int], list[int], list[int]]:
-    """Institution-proposing run where proposing to i captures the institution.
+def _hold_run(q: Profile, i: int, log: QueryLog | None) -> tuple[dict[int, int], list[int], list[int]]:
+    """Institution-proposing run on q where proposing to i captures the institution.
 
-    Equivalent to deferred acceptance on a market whose institutions list a
-    private hold applicant in i's slot: an institution reaching i's position
-    is permanently accepted there and stops proposing. Returns the tentative
-    matching over everyone else, the per-institution pointers, and the
-    captured institutions in ascending order.
+    An institution reaching i's slot stops proposing there for good. Returns
+    the tentative matching over everyone else, the per-institution pointers,
+    and the captured institutions in ascending order.
     """
-    n, m = q.n_applicants, q.n_institutions
-    hold_names = tuple(f"{name}@hold" for name in q.institution_names)
-    hold_prefs = tuple((j,) for j in range(m))
-
-    def hold_slot(j: int, prios: tuple[int, ...]) -> tuple[int, ...]:
-        if i not in prios:
-            return prios
-        r = prios.index(i)
-        return prios[:r] + (n + j,) + prios[r + 1 :]
-
-    hold_prios = tuple(hold_slot(j, prios) for j, prios in enumerate(q.institution_prios))
-    hold = Profile._derive(
-        q.applicant_names + hold_names, q.institution_names, q.applicant_prefs + hold_prefs, hold_prios,
-        checked=True, applicant_rank=lambda: q.applicant_rank + tuple({j: 0} for j in range(m)),
-    )
-    inner = QueryLog() if log is not None else None
-    nxt = [0] * m
-    mu: dict[int, int] = {}
-    stack = [j for j in range(m - 1, -1, -1) if hold_prios[j]]
-    while stack:
-        h = stack.pop()
-        d = _next_accepting(hold, mu, nxt, h, inner)
-        if d is None:
-            continue
-        displaced = mu.get(d)
-        mu[d] = h
-        if displaced is not None:
-            stack.append(displaced)
-    if log is not None:
-        for ev in inner.events:
-            if ev[0] == "read":
-                _, side, owner, rank, subject = ev
-                log.read(side, owner, rank, i if subject >= n else subject)
-            elif ev[2] < n:  # lookups of hold applicants are internal bookkeeping
-                log.events.append(ev)
-    captured = sorted(h for d, h in mu.items() if d >= n)
-    return {d: h for d, h in mu.items() if d < n}, nxt, captured
+    mu, nxt = {}, [0] * q.n_institutions
+    return mu, nxt, sorted(_propose(q, mu, nxt, log, capture=i))
 
 
 def _next_interested(
@@ -547,13 +512,13 @@ def _next_interested(
 def menu_da_plan(i: int, p: Profile, log: QueryLog | None = None) -> MenuPlan:
     """Phase one: compute i's menu and a plan for finishing the matching.
 
-    Runs the capture variant of institution-proposing deferred acceptance,
-    then drains the captured institutions one by one, each proposing below
-    i's slot. Rejection chains triggered this way are recorded in the unroll
-    DAG rather than final: each displaced applicant gets a node remembering
-    the match she falls back to if i's eventual choice routes elsewhere.
-    Every institution that reaches i's slot joins the menu. The resulting
-    menu equals menu_da(i, p).
+    Runs institution-proposing deferred acceptance with i in the capture
+    slot (_hold_run), then drains the captured institutions one by one,
+    each proposing below i's slot. Rejection chains triggered this way are
+    recorded in the unroll DAG rather than final: each displaced applicant
+    gets a node remembering the match she falls back to if i's eventual
+    choice routes elsewhere. Every institution that reaches i's slot joins
+    the menu. The resulting menu equals menu_da(i, p).
     """
     validate_profile(p)
     _check_applicant(p, i)

@@ -417,6 +417,41 @@ def unroll_dag_check_reference(dag, mu: dict[int, int], frontier, proposer: int 
                 fail(f"frontier node {node} has an out-edge")
 
 
+def hold_run_reference(q: Profile, i: int, events: list[tuple] | None) -> tuple[dict[int, int], list[int], list[int]]:
+    """menu_da_plan's capture run as it was first written: deferred acceptance on a hold market.
+
+    Institution j lists a private hold applicant n + j in i's slot, and the
+    hold applicant lists only j, so an institution reaching i's slot is held
+    there for good. Free institutions propose from a stack, lowest index on
+    top. Reads of a hold applicant are logged as reads of i, and her rank
+    lookups are not logged. Returns the tentative matching over everyone
+    else, the pointers, and the captured institutions in ascending order.
+    """
+    n, m = q.n_applicants, q.n_institutions
+    prios = [tuple(n + j if d == i else d for d in ranked) for j, ranked in enumerate(q.institution_prios)]
+    rank = [{h: r for r, h in enumerate(ranked)} for ranked in q.applicant_prefs] + [{j: 0} for j in range(m)]
+    nxt = [0] * m
+    mu: dict[int, int] = {}
+    stack = [j for j in range(m - 1, -1, -1) if prios[j]]
+    while stack:
+        h = stack.pop()
+        while nxt[h] < len(prios[h]):
+            d = prios[h][nxt[h]]
+            if events is not None:
+                events.append(("read", INSTITUTION, h, nxt[h], i if d >= n else d))
+                if d < n:
+                    events.append(("lookup", APPLICANT, d, h))
+            nxt[h] += 1
+            r = rank[d].get(h)
+            if r is not None and (d not in mu or r < rank[d][mu[d]]):
+                if d in mu:
+                    stack.append(mu[d])
+                mu[d] = h
+                break
+    captured = sorted(h for d, h in mu.items() if d >= n)
+    return {d: h for d, h in mu.items() if d < n}, nxt, captured
+
+
 def _type_of(types, player: int, vid: VertexId):
     try:
         return types[player]

@@ -274,3 +274,19 @@ def test_gen_cycle_grid_bad_flag_is_named(flag, value, capsys):
     assert out == ""
     assert err.startswith(f"error: {flag} must be ") and err.count("\n") == 1
     assert repr(value) in err
+
+
+@pytest.mark.parametrize(
+    ("argv", "head"),
+    [
+        (["states", "--n", "5"], "mdm states: error: argument --n: invalid choice: 5"),
+        (["verify", "--suite", "nope"], "mdm verify: error: argument --suite: invalid choice: 'nope'"),
+    ],
+)
+def test_argument_rejection_is_one_stderr_line(argv, head, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(head) and captured.err.count("\n") == 1
