@@ -60,6 +60,11 @@ from mdm.menus import (
 _MATCHING_MECHANISMS = ("sd", "ttc", "apda", "ipda", "receiver-optimal")
 _AUCTION_MECHANISMS = ("spa", "vcg-additive", "vcg-unit-demand")
 _ENGINES = ("da", "da-ap", "da-id", "ttc", "sd", "oracle")
+# Caps on size flags, so that no argv asks for unbounded memory: a random
+# market holds 2n² list entries, and every verify trial builds an instance.
+_MAX_GEN_N = 1000
+_MAX_VERIFY_N = 200
+_MAX_VERIFY_TRIALS = 100_000
 _FAMILIES = (
     "random",
     "cycle-grid",
@@ -80,6 +85,11 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InstanceError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def _at_most(flag: str, value: int | None, cap: int) -> None:
+    if value is not None and value > cap:
+        raise InstanceError(f"{flag} must be at most {cap}, got {value}")
 
 
 def _applicant_index(p: Profile, name: str) -> int:
@@ -217,6 +227,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise InstanceError("--suite all runs every suite at its default size and trial count")
         reports = run_all(seed=args.seed)
     else:
+        _at_most("--n", args.n, _MAX_VERIFY_N)
+        _at_most("--trials", trials if isinstance(trials, int) else None, _MAX_VERIFY_TRIALS)
         reports = [run_suite(args.suite, trials=trials, size=args.n, seed=args.seed)]
     for r in reports:
         sys.stderr.write(r.summary() + "\n")
@@ -371,6 +383,7 @@ def _gen_instance(args: argparse.Namespace) -> tuple[str, dict[str, object]]:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    _at_most("--n", args.n, _MAX_GEN_N)
     body, meta = _gen_instance(args)
     if args.out is None:
         _print_json({"instance": json.loads(body), "metadata": meta})

@@ -3,8 +3,10 @@
 Each suite re-derives the same quantity along two independent routes over a
 stream of generated instances and reports every disagreement together with
 the instance that produced it.  A run is deterministic given (suite, size,
-trials, seed).  Trials run across processes when the batch is large enough;
-setting MDM_NO_PARALLEL=1 forces single-process execution.
+trials, seed).  Trials run in chunks, and each call (``run_all`` included)
+maps every chunk of its suites over one process pool, or runs them in process
+for a single chunk or with MDM_NO_PARALLEL=1.  A report's ``wall_time`` is the
+summed time of its chunks, each timed where it ran; all else is identical.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from mdm import SUITE_NAMES
 from mdm.auctions import (
@@ -80,9 +83,9 @@ _DEFAULTS: dict[str, tuple[int, int]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Failure:
-    """One disagreement: the instance, what was expected, what was seen."""
+    """One disagreement: the instance, what was expected, what was seen; sorts in that order."""
 
     instance: str
     expectation: str
@@ -123,6 +126,14 @@ class VerificationReport:
         return f"{self.suite}: {self.trials} trials, {verdict} ({self.wall_time:.2f}s, seed {self.seed})"
 
 
+def _failures(instance: Callable[[], str], problems: list[tuple[str, str]]) -> list[Failure]:
+    """(expectation, observed) pairs as failures of one instance, serialized only if there are any."""
+    if not problems:
+        return []
+    text = instance()
+    return [Failure(text, expectation, observed) for expectation, observed in problems]
+
+
 def _score(true_list: tuple[int, ...], h: int | None) -> int:
     """Rank of an assignment under a true list; lower is better.
 
@@ -143,8 +154,7 @@ def _menus_trial(size: int, seed: int, t: int) -> list[Failure]:
     n = 5 if t % 4 == 3 else size
     p = gen_random_market(n, seed + t, truncation_prob=0.3)
     i = t % n
-    inst = serialize_instance(p)
-    failures = []
+    problems = []
     ref = menu_da(i, p)
     routes = [
         ("applicant-proposing augmented run", menu_da_applicant_proposing(i, p)),
@@ -155,58 +165,45 @@ def _menus_trial(size: int, seed: int, t: int) -> list[Failure]:
         routes.append(("exhaustive report enumeration", menu_oracle_exhaustive("apda", i, p)))
     for name, got in routes:
         if got != ref:
-            failures.append(
-                Failure(
-                    inst,
-                    f"deferred-acceptance menu of applicant {i} is {sorted(ref)}",
-                    f"{name} computed {sorted(got)}",
-                )
-            )
+            problems.append((
+                f"deferred-acceptance menu of applicant {i} is {sorted(ref)}",
+                f"{name} computed {sorted(got)}",
+            ))
     order = tuple(range(n))
     for label, fast, oracle in [
         ("trading-cycles", menu_ttc(i, p), menu_oracle_singleton("ttc", i, p)),
         ("serial-dictatorship", menu_sd(i, p, order), menu_oracle_singleton("sd", i, p, order)),
     ]:
         if fast != oracle:
-            failures.append(
-                Failure(
-                    inst,
-                    f"{label} menu of applicant {i} is {sorted(oracle)} by report probing",
-                    f"direct computation gave {sorted(fast)}",
-                )
-            )
-    return failures
+            problems.append((
+                f"{label} menu of applicant {i} is {sorted(oracle)} by report probing",
+                f"direct computation gave {sorted(fast)}",
+            ))
+    return _failures(lambda: serialize_instance(p), problems)
 
 
 def _stability_trial(size: int, seed: int, t: int) -> list[Failure]:
     p = gen_random_market(size, seed + t, truncation_prob=0.3)
-    inst = serialize_instance(p)
-    failures = []
+    problems = []
     best = apda(p)
     worst = ipda(p)
     for name, mu in [("applicant-proposing", best), ("institution-proposing", worst)]:
         validate_matching(p, mu)
         blocks = blocking_pairs(p, mu)
         if blocks:
-            failures.append(
-                Failure(
-                    inst,
-                    f"{name} deferred acceptance yields no blocking pairs",
-                    f"blocking pairs {sorted(blocks)}",
-                )
-            )
+            problems.append((
+                f"{name} deferred acceptance yields no blocking pairs",
+                f"blocking pairs {sorted(blocks)}",
+            ))
     mu_d, nu_d = best.by_applicant, worst.by_applicant
     for d in range(p.n_applicants):
         true = p.applicant_prefs[d]
         if _score(true, mu_d.get(d)) > _score(true, nu_d.get(d)):
-            failures.append(
-                Failure(
-                    inst,
-                    f"applicant {d} weakly prefers the applicant-proposing outcome",
-                    f"gets {mu_d.get(d)} there but {nu_d.get(d)} under institution proposing",
-                )
-            )
-    return failures
+            problems.append((
+                f"applicant {d} weakly prefers the applicant-proposing outcome",
+                f"gets {mu_d.get(d)} there but {nu_d.get(d)} under institution proposing",
+            ))
+    return _failures(lambda: serialize_instance(p), problems)
 
 
 # Pinned 4x4 market for the exhaustive strategyproofness sweep: priorities
@@ -233,10 +230,9 @@ def _sp_base_market() -> Profile:
 def _check_deviations(
     p: Profile, i: int, true: tuple[int, ...], reports: list[tuple[int, ...]]
 ) -> list[Failure]:
-    failures = []
+    problems = []
     validate_profile(p)  # once, so the derived report profiles carry the pass
     base = p.with_prefs(i, true)
-    inst = serialize_instance(base)
     for mech, run in [("apda", apda), ("ttc", ttc)]:
         honest = _score(true, run(base).by_applicant.get(i))
         for rep in reports:
@@ -244,14 +240,11 @@ def _check_deviations(
                 continue
             got = _score(true, run(p.with_prefs(i, rep)).by_applicant.get(i))
             if got < honest:
-                failures.append(
-                    Failure(
-                        inst,
-                        f"{mech}: applicant {i} cannot beat the truth {true}",
-                        f"reporting {rep} improves rank {honest} to {got}",
-                    )
-                )
-    return failures
+                problems.append((
+                    f"{mech}: applicant {i} cannot beat the truth {true}",
+                    f"reporting {rep} improves rank {honest} to {got}",
+                ))
+    return _failures(lambda: serialize_instance(base), problems)
 
 
 def _strategyproofness_trial(size: int, seed: int, t: int) -> list[Failure]:
@@ -310,21 +303,18 @@ def _rural_trial(size: int, seed: int, t: int) -> list[Failure]:
 
 def _rotations_trial(size: int, seed: int, t: int) -> list[Failure]:
     p = gen_random_market(size, seed + t, truncation_prob=0.3)
-    failures = []
+    problems = []
     pairs = [
         ("institution-proposing run plus rotations", receiver_optimal(p, INSTITUTION), apda(p)),
         ("applicant-proposing run plus rotations", receiver_optimal(p, APPLICANT), ipda(p)),
     ]
     for name, got, want in pairs:
         if got != want:
-            failures.append(
-                Failure(
-                    serialize_instance(p),
-                    f"{name} equals the receiver-optimal stable matching {sorted(want.pairs)}",
-                    f"computed {sorted(got.pairs)}",
-                )
-            )
-    return failures
+            problems.append((
+                f"{name} equals the receiver-optimal stable matching {sorted(want.pairs)}",
+                f"computed {sorted(got.pairs)}",
+            ))
+    return _failures(lambda: serialize_instance(p), problems)
 
 
 def _plan_trial(size: int, seed: int, t: int) -> list[Failure]:
@@ -425,7 +415,7 @@ def _auctions_trial(size: int, seed: int, t: int) -> list[Failure]:
     v = ValuationMatrix(
         tuple(tuple(rng.randint(0, bound) for _ in range(m)) for _ in range(nb)), bound
     )
-    inst = serialize_auction(v)
+    problems = []
     # Additive VCG must decompose into one second-price auction per item.
     out = vcg_additive(v)
     alloc = [set() for _ in range(nb)]
@@ -437,39 +427,30 @@ def _auctions_trial(size: int, seed: int, t: int) -> list[Failure]:
         alloc[winner].add(j)
         prices[winner] += one.prices[winner]
     if out.allocation != tuple(frozenset(s) for s in alloc) or out.prices != tuple(prices):
-        failures.append(
-            Failure(
-                inst,
-                f"additive VCG splits into per-item second-price auctions: "
-                f"{tuple(sorted(s) for s in alloc)} at {tuple(prices)}",
-                f"got {tuple(sorted(s) for s in out.allocation)} at {out.prices}",
-            )
-        )
+        problems.append((
+            f"additive VCG splits into per-item second-price auctions: "
+            f"{tuple(sorted(s) for s in alloc)} at {tuple(prices)}",
+            f"got {tuple(sorted(s) for s in out.allocation)} at {out.prices}",
+        ))
     for i in range(nb):
         menu = menu_additive(i, v)
         util = sum(v.values[i][j] - menu[j] for j in out.allocation[i])
         best = sum(max(0, v.values[i][j] - menu[j]) for j in range(m))
         if util != best:
-            failures.append(
-                Failure(
-                    inst,
-                    f"bidder {i} attains the best additive-menu utility {best}",
-                    f"outcome utility {util} with menu {menu}",
-                )
-            )
+            problems.append((
+                f"bidder {i} attains the best additive-menu utility {best}",
+                f"outcome utility {util} with menu {menu}",
+            ))
     # Unit demand: matching weight against brute-force enumeration, then the
     # VCG utility identity and its menu form.
     assignment = max_weight_matching(v)
     weight = _assignment_value(v, assignment)
     brute = _brute_welfare(v)
     if weight != brute:
-        failures.append(
-            Failure(
-                inst,
-                f"maximum assignment value is {brute} by enumeration",
-                f"assignment {assignment} of value {weight}",
-            )
-        )
+        problems.append((
+            f"maximum assignment value is {brute} by enumeration",
+            f"assignment {assignment} of value {weight}",
+        ))
     out_u = vcg_unit_demand(v)
     for i in range(nb):
         others = ValuationMatrix(v.values[:i] + v.values[i + 1:], v.bound)
@@ -478,24 +459,18 @@ def _auctions_trial(size: int, seed: int, t: int) -> list[Failure]:
         value = v.values[i][own] if own is not None else 0
         util = value - out_u.prices[i]
         if out_u.prices[i] < 0 or util != weight - w_rest:
-            failures.append(
-                Failure(
-                    inst,
-                    f"bidder {i} pays her externality: utility {weight - w_rest}",
-                    f"allocation {sorted(out_u.allocation[i])} at price {out_u.prices[i]}",
-                )
-            )
+            problems.append((
+                f"bidder {i} pays her externality: utility {weight - w_rest}",
+                f"allocation {sorted(out_u.allocation[i])} at price {out_u.prices[i]}",
+            ))
         menu = menu_unit_demand(i, v)
         best = max([0] + [v.values[i][j] - menu[j] for j in range(m)])
         if util != best:
-            failures.append(
-                Failure(
-                    inst,
-                    f"bidder {i} attains the best unit-demand menu utility {best}",
-                    f"outcome utility {util} with menu {menu}",
-                )
-            )
-    return failures
+            problems.append((
+                f"bidder {i} attains the best unit-demand menu utility {best}",
+                f"outcome utility {util} with menu {menu}",
+            ))
+    return failures + _failures(lambda: serialize_auction(v), problems)
 
 
 def _voting_trial(size: int, seed: int, t: int) -> list[Failure]:
@@ -509,12 +484,11 @@ def _voting_trial(size: int, seed: int, t: int) -> list[Failure]:
         votes.append(x % candidates + 1)
         x //= candidates
     v = VoteProfile(candidates, tuple(votes))
-    inst = serialize_votes(v)
-    failures = []
+    problems = []
     chosen = median_outcome(v)
     want = sorted(votes)[n_voters // 2]
     if chosen != want:
-        failures.append(Failure(inst, f"median is {want}", f"computed {chosen}"))
+        problems.append((f"median is {want}", f"computed {chosen}"))
     for i in range(n_voters):
         lo, hi = median_menu(v, i)
         for own in range(1, candidates + 1):
@@ -522,23 +496,17 @@ def _voting_trial(size: int, seed: int, t: int) -> list[Failure]:
             direct = median_outcome(swapped)
             via_menu = median_menu_select((lo, hi), own)
             if via_menu != direct:
-                failures.append(
-                    Failure(
-                        inst,
-                        f"voter {i} reporting {own} moves the median to {direct}",
-                        f"menu ({lo}, {hi}) selects {via_menu}",
-                    )
-                )
+                problems.append((
+                    f"voter {i} reporting {own} moves the median to {direct}",
+                    f"menu ({lo}, {hi}) selects {via_menu}",
+                ))
             peak = votes[i]
             if abs(direct - peak) < abs(chosen - peak):
-                failures.append(
-                    Failure(
-                        inst,
-                        f"voter {i} with peak {peak} cannot beat the honest median {chosen}",
-                        f"reporting {own} yields {direct}",
-                    )
-                )
-    return failures
+                problems.append((
+                    f"voter {i} with peak {peak} cannot beat the honest median {chosen}",
+                    f"reporting {own} yields {direct}",
+                ))
+    return _failures(lambda: serialize_votes(v), problems)
 
 
 _TRIALS = {
@@ -554,48 +522,50 @@ _TRIALS = {
 }
 
 
-def _run_chunk(args: tuple[str, int, int, int, int]) -> list[Failure]:
+class _Job(NamedTuple):
+    suite: str  # name on the report
+    trial: str  # key into _TRIALS
+    size: int
+    trials: int
+    seed: int
+
+
+def _run_chunk(args: tuple[str, int, int, int, int]) -> tuple[list[Failure], float]:
     name, size, seed, start, stop = args
     fn = _TRIALS[name]
+    began = time.perf_counter()
     failures: list[Failure] = []
     for t in range(start, stop):
         failures.extend(fn(size, seed, t))
-    return failures
+    return failures, time.perf_counter() - began
 
 
-def _sequential() -> bool:
-    return os.environ.get("MDM_NO_PARALLEL") == "1" or (os.cpu_count() or 1) == 1
-
-
-def _run_trials(name: str, size: int, trials: int, seed: int) -> list[Failure]:
-    if trials <= 0:
-        raise InstanceError(f"trial count must be positive, got {trials}")
-    chunk = max(32, -(-trials // 16))
-    chunks = [
-        (name, size, seed, start, min(start + chunk, trials))
-        for start in range(0, trials, chunk)
-    ]
-    if _sequential() or len(chunks) <= 1:
-        batches = [_run_chunk(c) for c in chunks]
+def _run_jobs(jobs: list[_Job]) -> list[VerificationReport]:
+    """Run every trial chunk of every job on one process pool; one report per job."""
+    chunks, owner = [], []
+    for k, job in enumerate(jobs):
+        step = max(32, -(-job.trials // 16))
+        for start in range(0, job.trials, step):
+            chunks.append((job.trial, job.size, job.seed, start, min(start + step, job.trials)))
+            owner.append(k)
+    workers = min(len(chunks), os.cpu_count() or 1)
+    if workers <= 1 or os.environ.get("MDM_NO_PARALLEL") == "1":
+        results = [_run_chunk(c) for c in chunks]
     else:
-        with ProcessPoolExecutor() as pool:
-            batches = list(pool.map(_run_chunk, chunks))
-    failures = [f for batch in batches for f in batch]
-    failures.sort(key=lambda f: (f.instance, f.expectation, f.observed))
-    return failures
+        with ProcessPoolExecutor(workers) as pool:
+            results = list(pool.map(_run_chunk, chunks))
+    failures: list[list[Failure]] = [[] for _ in jobs]
+    seconds = [0.0] * len(jobs)
+    for k, (batch, elapsed) in zip(owner, results):
+        failures[k].extend(batch)
+        seconds[k] += elapsed
+    return [
+        VerificationReport(job.suite, job.trials, job.seed, tuple(sorted(f)), secs)
+        for job, f, secs in zip(jobs, failures, seconds)
+    ]
 
 
-def run_suite(
-    suite: str,
-    trials: int | str | None = None,
-    size: int | None = None,
-    seed: int = 0,
-) -> VerificationReport:
-    """Run one named suite and return its report.
-
-    trials="exhaustive" switches the strategyproofness suite to the pinned
-    full sweep of true lists against misreports; other suites reject it.
-    """
+def _job(suite: str, trials: int | str | None, size: int | None, seed: int) -> _Job:
     if suite not in SUITE_NAMES:
         raise InstanceError(f"unknown suite {suite!r}; pick from {', '.join(SUITE_NAMES + ('all',))}")
     name = suite
@@ -616,12 +586,25 @@ def run_suite(
         raise InstanceError(f"invalid trial count {trials!r}")
     if suite == "voting":
         n_trials = min(n_trials, size**3)
-    start = time.perf_counter()
-    failures = _run_trials(name, size, n_trials, seed)
-    wall = time.perf_counter() - start
-    return VerificationReport(suite, n_trials, seed, tuple(failures), wall)
+    if n_trials <= 0:
+        raise InstanceError(f"trial count must be positive, got {n_trials}")
+    return _Job(suite, name, size, n_trials, seed)
+
+
+def run_suite(
+    suite: str,
+    trials: int | str | None = None,
+    size: int | None = None,
+    seed: int = 0,
+) -> VerificationReport:
+    """Run one named suite and return its report.
+
+    trials="exhaustive" switches the strategyproofness suite to the pinned
+    full sweep of true lists against misreports; other suites reject it.
+    """
+    return _run_jobs([_job(suite, trials, size, seed)])[0]
 
 
 def run_all(seed: int = 0) -> list[VerificationReport]:
-    """Run every suite with default sizes and trial counts."""
-    return [run_suite(s, seed=seed) for s in SUITE_NAMES]
+    """Run every suite with default sizes and trial counts, all on one process pool."""
+    return _run_jobs([_job(s, None, None, seed) for s in SUITE_NAMES])

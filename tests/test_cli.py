@@ -290,3 +290,29 @@ def test_argument_rejection_is_one_stderr_line(argv, head, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(head) and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    ("argv", "flag", "cap"),
+    [
+        (["verify", "--suite", "menus", "--n"], "--n", 200),
+        (["verify", "--suite", "menus", "--trials"], "--trials", 100_000),
+        (["gen", "--family", "random", "--n"], "--n", 1000),
+    ],
+)
+def test_size_flags_are_capped(argv, flag, cap, capsys, monkeypatch):
+    """The cap itself passes and one more exits 2; stubs stand in for the work, never run at size."""
+    import mdm.generators
+    import mdm.verify
+
+    reached = []
+    small = mdm.generators.gen_random_market(2, 0)
+    monkeypatch.setattr(mdm.verify, "run_suite", lambda suite, **kw: reached.append(kw)
+                        or mdm.verify.VerificationReport(suite, 1, 0, (), 0.0))
+    monkeypatch.setattr(mdm.generators, "gen_random_market", lambda n, *a: reached.append(n) or small)
+    code, _, _ = run(capsys, *argv, str(cap))
+    assert code == 0 and len(reached) == 1
+    code, out, err = run(capsys, *argv, str(cap + 1))
+    assert code == 2 and len(reached) == 1
+    assert out == ""
+    assert err == f"error: {flag} must be at most {cap}, got {cap + 1}\n"

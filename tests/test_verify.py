@@ -1,0 +1,90 @@
+"""The verify runner: lazily serialized failure instances and one shared process pool."""
+
+import multiprocessing
+import os
+
+import pytest
+
+import mdm.verify as verify
+from mdm.auctions import serialize_auction
+from mdm.generators import gen_random_market
+from mdm.market import serialize_instance
+from mdm.voting import serialize_votes
+
+
+@pytest.mark.parametrize(
+    ("trial", "args", "route", "wrong", "expected"),
+    [
+        (verify._menus_trial, (6, 0, 1), "menu_ttc",
+         lambda real, n, i, p: real(i, p) | {99}, lambda calls: serialize_instance(calls[0][1])),
+        (verify._stability_trial, (6, 0, 1), "blocking_pairs",
+         lambda real, n, p, mu: [(0, 0)], lambda calls: serialize_instance(calls[0][0])),
+        # Each score reads better than the one before, so every misreport beats the truth.
+        (verify._strategyproofness_trial, (5, 0, 1), "_score",
+         lambda real, n, true, h: -n, lambda calls: serialize_instance(gen_random_market(5, 1, truncation_prob=0.3))),
+        (verify._auctions_trial, (4, 0, 1), "menu_additive",
+         lambda real, n, i, v: tuple(-1 for _ in real(i, v)), lambda calls: serialize_auction(calls[0][1])),
+        (verify._voting_trial, (5, 0, 7), "median_menu",
+         lambda real, n, v, i: (1, 1), lambda calls: serialize_votes(calls[0][0])),
+    ],
+    ids=["menus", "stability", "strategyproofness", "auctions", "voting"],
+)
+def test_failure_instance_is_the_trials_instance(trial, args, route, wrong, expected, monkeypatch):
+    """A route forced wrong yields failures whose instance is the trial's own, serialized."""
+    real = getattr(verify, route)
+    calls = []
+
+    def patched(*a):
+        calls.append(a)
+        return wrong(real, len(calls), *a)
+
+    monkeypatch.setattr(verify, route, patched)
+    failures = trial(*args)
+    assert failures
+    assert {f.instance for f in failures} == {expected(calls)}
+
+
+def _tagged(name, real, picked):
+    """A trial that adds one synthetic failure to each picked trial index."""
+
+    def trial(size, seed, t):
+        out = real(size, seed, t)
+        if t in picked:
+            out.append(verify.Failure(f"synthetic {name} {(t * 37) % 101:03d}", f"trial {t}", "forced"))
+        return out
+
+    return trial
+
+
+def _comparable(reports):
+    return [{k: v for k, v in r.as_dict().items() if k != "wall_time"} for r in reports]
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches workers only by fork")
+def test_run_all_uses_one_pool_and_routes_failures_to_their_suites(monkeypatch):
+    picked = {"stability": {3, 40, 41, 150, 199}, "voting": {0, 64, 124}}
+    for name, ts in picked.items():
+        monkeypatch.setitem(verify._TRIALS, name, _tagged(name, verify._TRIALS[name], ts))
+    pools = []
+
+    class CountedPool(verify.ProcessPoolExecutor):
+        def __init__(self, *a, **kw):
+            pools.append(a)
+            super().__init__(*a, **kw)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delenv("MDM_NO_PARALLEL", raising=False)
+    parallel = verify.run_all(seed=0)
+    assert len(pools) == 1
+    monkeypatch.setenv("MDM_NO_PARALLEL", "1")
+    serial = verify.run_all(seed=0)
+    assert len(pools) == 1
+    assert _comparable(parallel) == _comparable(serial)
+
+    assert [r.suite for r in parallel] == list(verify.SUITE_NAMES)
+    for r in parallel:
+        ts = picked.get(r.suite, set())
+        assert {f.expectation for f in r.failures} == {f"trial {t}" for t in ts}
+        assert all(f.instance.startswith(f"synthetic {r.suite} ") for f in r.failures)
+        assert list(r.failures) == sorted(r.failures, key=lambda f: (f.instance, f.expectation, f.observed))
