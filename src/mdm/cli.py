@@ -21,7 +21,7 @@ import traceback
 from pathlib import Path
 from typing import NoReturn
 
-from mdm import SUITE_NAMES
+from mdm import MECHANISM_TAGS, SUITE_NAMES
 from mdm.auctions import (
     AuctionOutcome,
     parse_auction,
@@ -45,16 +45,6 @@ from mdm.mechanisms import (
     receiver_optimal,
     serial_dictatorship,
     ttc,
-)
-from mdm.menus import (
-    MECHANISM_TAGS,
-    menu_da,
-    menu_da_applicant_proposing,
-    menu_da_plan,
-    menu_from_matching,
-    menu_oracle_exhaustive,
-    menu_sd,
-    menu_ttc,
 )
 
 _MATCHING_MECHANISMS = ("sd", "ttc", "apda", "ipda", "receiver-optimal")
@@ -185,6 +175,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_menu(args: argparse.Namespace) -> int:
+    from mdm import menus
+
     p = parse_instance(_read(args.instance))
     i = _applicant_index(p, args.applicant)
     if p.applicant_prefs[i]:
@@ -194,18 +186,18 @@ def cmd_menu(args: argparse.Namespace) -> int:
         )
     engine = args.engine
     if engine == "da":
-        menu = menu_da(i, p)
+        menu = menus.menu_da(i, p)
     elif engine == "da-ap":
-        menu = menu_da_applicant_proposing(i, p)
+        menu = menus.menu_da_applicant_proposing(i, p)
     elif engine == "da-id":
-        menu = menu_da_plan(i, p).menu
+        menu = menus.menu_da_plan(i, p).menu
     elif engine == "ttc":
-        menu = menu_ttc(i, p)
+        menu = menus.menu_ttc(i, p)
     elif engine == "sd":
-        menu = menu_sd(i, p, _parse_order(p, args.order))
+        menu = menus.menu_sd(i, p, _parse_order(p, args.order))
     else:
         order = _parse_order(p, args.order) if args.mechanism == "sd" else None
-        menu = menu_oracle_exhaustive(args.mechanism, i, p, order)
+        menu = menus.menu_oracle_exhaustive(args.mechanism, i, p, order)
     names = sorted(p.institution_names[h] for h in menu)
     payload = {"applicant": args.applicant, "engine": engine, "menu": names}
     text = f"menu of {args.applicant}: " + (", ".join(names) if names else "(empty)") + "\n"
@@ -245,6 +237,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_describe(args: argparse.Namespace) -> int:
+    from mdm.menus import menu_from_matching
+
     p = parse_instance(_read(args.instance))
     i = _applicant_index(p, args.applicant)
     name = p.applicant_names[i]

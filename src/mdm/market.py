@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 APPLICANT = "applicant"
@@ -34,6 +33,20 @@ def _rank_row(ranked: tuple[int, ...]) -> dict[int, int]:
 
 def _rank_table(lists: tuple[tuple[int, ...], ...]) -> RankTable:
     return tuple(_rank_row(l) for l in lists)
+
+
+class cached_property:
+    """functools.cached_property minus the lock it takes on a first access, as in Python 3.12:
+    the value goes into the instance dict, which shadows this non-data descriptor from then on."""
+
+    def __init__(self, fn: Callable) -> None:
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = vars(obj)[self.name] = self.fn(obj)
+        return value
 
 
 class BlockingPair(NamedTuple):
@@ -367,7 +380,7 @@ def _check_records(records: object, path: str, list_key: str, problems: list[str
             continue
         _check_name(rec.get("name"), where, problems)
         ranked = rec.get(list_key, [])
-        if not isinstance(ranked, list) or not all(isinstance(x, str) for x in ranked):
+        if not isinstance(ranked, list) or not set(map(type, ranked)) <= {str}:  # JSON holds no str subclass
             problems.append(f"{where}.{list_key}: expected a list of names")
             continue
         out.append(rec)
@@ -404,9 +417,14 @@ def parse_instance(raw: bytes | str) -> Profile:
         problems.append(f"name {name!r} is used on both sides")
 
     def resolve(rec: dict, list_key: str, target: dict[str, int], path: str) -> tuple[int, ...]:
-        ranked: list[int] = []
-        seen: set[int] = set()
-        for k, name in enumerate(rec.get(list_key, [])):
+        names = rec.get(list_key, [])
+        ranked = tuple(map(target.get, names))
+        distinct = set(ranked)
+        if len(distinct) == len(ranked) and None not in distinct:
+            return ranked
+        # An unknown name or a repeated entry: find each one, in list order.
+        ranked, seen = [], set()
+        for k, name in enumerate(names):
             if name not in target:
                 problems.append(f"{path}.{list_key}[{k}]: unknown agent name {name!r}")
             elif target[name] in seen:
@@ -430,31 +448,33 @@ def parse_instance(raw: bytes | str) -> Profile:
             caps[h_index[rec["name"]]] = cap
     if problems:
         raise InstanceError("\n".join(problems))
-    profile = Profile(
-        applicant_names=tuple(sorted(d_index)),
-        institution_names=tuple(sorted(h_index)),
-        applicant_prefs=tuple(prefs),
-        institution_prios=tuple(prios),
-        capacities=tuple(caps),
+    # Every rule of _profile_problems holds by now: one list and one capacity
+    # per name, names nonempty, unique and on one side only, entries in range
+    # (looked up by name) and not repeated, capacities integers >= 1.
+    return Profile._derive(
+        tuple(d_index), tuple(h_index), tuple(prefs), tuple(prios), tuple(caps), checked=True
     )
-    validate_profile(profile)
-    return profile
 
 
 def serialize_instance(p: Profile) -> str:
-    """Serialize a Profile to the JSON instance format, names sorted for determinism."""
+    """Serialize a Profile to the JSON instance format, names sorted for determinism.
+
+    The text is json.dumps(doc, indent=2) + "\n" byte for byte, laid out here from
+    names quoted once each, as json.dumps with an indent runs its pure-Python encoder.
+    """
     validate_profile(p)
-    applicants = []
-    for name in sorted(p.applicant_names):
-        d = p.applicant_index[name]
-        prefs = [p.institution_names[h] for h in p.applicant_prefs[d]]
-        applicants.append({"name": name, "prefs": prefs})
-    institutions = []
-    for name in sorted(p.institution_names):
-        h = p.institution_index[name]
-        rec: dict = {"name": name, "prios": [p.applicant_names[d] for d in p.institution_prios[h]]}
-        if p.capacities[h] != 1:
-            rec["capacity"] = p.capacities[h]
-        institutions.append(rec)
-    doc = {"applicants": applicants, "institutions": institutions}
-    return json.dumps(doc, indent=2) + "\n"
+    quoted_d = [json.dumps(x) for x in p.applicant_names]
+    quoted_h = [json.dumps(x) for x in p.institution_names]
+
+    def side(list_key: str, names, quoted, lists, other, caps=()) -> str:
+        records = []
+        for a in sorted(range(len(names)), key=names.__getitem__):
+            entries = ",\n        ".join(map(other.__getitem__, lists[a]))
+            ranked = f"[\n        {entries}\n      ]" if entries else "[]"
+            cap = f',\n      "capacity": {json.dumps(caps[a])}' if caps and caps[a] != 1 else ""
+            records.append(f'    {{\n      "name": {quoted[a]},\n      "{list_key}": {ranked}{cap}\n    }}')
+        return "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
+
+    applicants = side("prefs", p.applicant_names, quoted_d, p.applicant_prefs, quoted_h)
+    institutions = side("prios", p.institution_names, quoted_h, p.institution_prios, quoted_d, p.capacities)
+    return f'{{\n  "applicants": {applicants},\n  "institutions": {institutions}\n}}\n'

@@ -34,6 +34,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from mdm import MECHANISM_TAGS
 from mdm.market import (
     APPLICANT,
     INSTITUTION,
@@ -61,8 +62,6 @@ from mdm.mechanisms import (
 
 Menu = frozenset[int]
 DagNode = tuple[int, int | None]  # (applicant, fallback institution or None)
-
-MECHANISM_TAGS = ("sd", "ttc", "apda")
 
 _EXHAUSTIVE_CAP = 5  # institutions; reports grow factorially beyond this
 

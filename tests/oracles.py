@@ -8,6 +8,7 @@ library rather than at the oracle.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import statistics
 from collections.abc import Callable, Sequence
@@ -23,7 +24,16 @@ from mdm.descriptions import (
     VertexId,
     validate_description,
 )
-from mdm.market import APPLICANT, INSTITUTION, Matching, Profile
+from mdm.market import (
+    APPLICANT,
+    INSTITUTION,
+    RESERVED_MARKER,
+    InstanceError,
+    Matching,
+    Profile,
+    load_json_object,
+    validate_profile,
+)
 
 
 def all_partial_lists(m: int) -> list[tuple[int, ...]]:
@@ -542,3 +552,121 @@ def check_menu_description_reference(
                 f"sink {sink_vid[0]}:{sink_vid[1]} shows {sink.label!r} but the outcome is {expected!r}",
                 witness=types,
             )
+
+
+def _check_name_reference(name: object, path: str, problems: list[str]) -> None:
+    if not isinstance(name, str) or not name:
+        problems.append(f"{path}: name must be a nonempty string")
+    elif RESERVED_MARKER in name:
+        problems.append(f"{path}: name {name!r} uses the reserved marker {RESERVED_MARKER!r}")
+
+
+def _check_records_reference(records: object, path: str, list_key: str, problems: list[str]) -> list[dict]:
+    if not isinstance(records, list):
+        problems.append(f"{path}: expected a list")
+        return []
+    allowed = {"name", list_key} | ({"capacity"} if list_key == "prios" else set())
+    out: list[dict] = []
+    for k, rec in enumerate(records):
+        where = f"{path}[{k}]"
+        if not isinstance(rec, dict):
+            problems.append(f"{where}: expected an object")
+            continue
+        for key in sorted(set(rec) - allowed):
+            problems.append(f"{where}: unknown field {key!r}")
+        if "name" not in rec:
+            problems.append(f"{where}: missing name")
+            continue
+        _check_name_reference(rec.get("name"), where, problems)
+        ranked = rec.get(list_key, [])
+        if not isinstance(ranked, list) or not all(isinstance(x, str) for x in ranked):
+            problems.append(f"{where}.{list_key}: expected a list of names")
+            continue
+        out.append(rec)
+    return out
+
+
+def parse_instance_reference(raw: bytes | str) -> Profile:
+    """parse_instance as it ran before its fast paths: per-entry checks, then validate_profile.
+
+    Agents are indexed in lexicographic name order, so parsing a serialized
+    profile reproduces it exactly. Every problem is reported with the path
+    of the offending entry.
+    """
+    doc = load_json_object(raw)
+    problems: list[str] = []
+    for key in sorted(set(doc) - {"applicants", "institutions"}):
+        problems.append(f"top level: unknown field {key!r}")
+    applicants = _check_records_reference(doc.get("applicants", []), "applicants", "prefs", problems)
+    institutions = _check_records_reference(doc.get("institutions", []), "institutions", "prios", problems)
+    if problems:
+        raise InstanceError("\n".join(problems))
+
+    def index_by_name(records: list[dict], path: str) -> dict[str, int]:
+        seen: set[str] = set()
+        for k, rec in enumerate(records):
+            if rec["name"] in seen:
+                problems.append(f"{path}[{k}]: duplicate name {rec['name']!r}")
+            seen.add(rec["name"])
+        return {name: i for i, name in enumerate(sorted(seen))}
+
+    d_index = index_by_name(applicants, "applicants")
+    h_index = index_by_name(institutions, "institutions")
+    for name in sorted(set(d_index) & set(h_index)):
+        problems.append(f"name {name!r} is used on both sides")
+
+    def resolve(rec: dict, list_key: str, target: dict[str, int], path: str) -> tuple[int, ...]:
+        ranked: list[int] = []
+        seen: set[int] = set()
+        for k, name in enumerate(rec.get(list_key, [])):
+            if name not in target:
+                problems.append(f"{path}.{list_key}[{k}]: unknown agent name {name!r}")
+            elif target[name] in seen:
+                problems.append(f"{path}.{list_key}[{k}]: duplicate entry {name!r}")
+            else:
+                ranked.append(target[name])
+                seen.add(target[name])
+        return tuple(ranked)
+
+    prefs: list[tuple[int, ...]] = [()] * len(d_index)
+    prios: list[tuple[int, ...]] = [()] * len(h_index)
+    caps: list[int] = [1] * len(h_index)
+    for k, rec in enumerate(applicants):
+        prefs[d_index[rec["name"]]] = resolve(rec, "prefs", h_index, f"applicants[{k}]")
+    for k, rec in enumerate(institutions):
+        prios[h_index[rec["name"]]] = resolve(rec, "prios", d_index, f"institutions[{k}]")
+        cap = rec.get("capacity", 1)
+        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
+            problems.append(f"institutions[{k}].capacity: must be an integer >= 1, got {cap!r}")
+        else:
+            caps[h_index[rec["name"]]] = cap
+    if problems:
+        raise InstanceError("\n".join(problems))
+    profile = Profile(
+        applicant_names=tuple(sorted(d_index)),
+        institution_names=tuple(sorted(h_index)),
+        applicant_prefs=tuple(prefs),
+        institution_prios=tuple(prios),
+        capacities=tuple(caps),
+    )
+    validate_profile(profile)
+    return profile
+
+
+def serialize_instance_reference(p: Profile) -> str:
+    """serialize_instance as it ran before it built the layout itself: one json.dumps(indent=2)."""
+    validate_profile(p)
+    applicants = []
+    for name in sorted(p.applicant_names):
+        d = p.applicant_index[name]
+        prefs = [p.institution_names[h] for h in p.applicant_prefs[d]]
+        applicants.append({"name": name, "prefs": prefs})
+    institutions = []
+    for name in sorted(p.institution_names):
+        h = p.institution_index[name]
+        rec: dict = {"name": name, "prios": [p.applicant_names[d] for d in p.institution_prios[h]]}
+        if p.capacities[h] != 1:
+            rec["capacity"] = p.capacities[h]
+        institutions.append(rec)
+    doc = {"applicants": applicants, "institutions": institutions}
+    return json.dumps(doc, indent=2) + "\n"

@@ -259,6 +259,24 @@ def test_cli_import_leaves_subcommand_modules_unloaded():
     assert proc.stdout.strip() == ""
 
 
+@pytest.mark.parametrize("mechanism", ["sd", "ttc", "apda", "ipda", "receiver-optimal"])
+def test_cli_import_and_matching_solve_leave_menus_unloaded(mechanism, budget_path):
+    # mdm.menus loads only with menu and describe, and a matching solve loads
+    # nothing that import mdm.cli has not. Argv is parsed before the baseline
+    # is taken, since argparse loads locale lazily whatever the command.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    argv = ["solve", "--mechanism", mechanism, budget_path]
+    probe = (
+        "import io, sys, mdm.cli; "
+        f"menus = 'mdm.menus' in sys.modules; mdm.cli.build_parser().parse_args({argv!r}); before = set(sys.modules); "
+        f"sys.stdout = io.StringIO(); code = mdm.cli.main({argv!r}); "
+        "print(code, menus, sorted(set(sys.modules) - before), file=sys.stderr)"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.stderr == "0 False []\n"
+
+
 @pytest.mark.parametrize("suite", ["menus", "voting"])
 def test_verify_size_zero_exits_2(suite, capsys):
     code, out, err = run(capsys, "verify", "--suite", suite, "--n", "0")
