@@ -9,7 +9,8 @@ price to beat for one item, a price per item when values add up, or a price
 per item when each bidder can use at most one.
 
 Menu functions take the full instance plus the bidder's index and ignore
-that bidder's own row, mirroring the matching menus.
+that bidder's own row, mirroring the matching menus. A ValuationMatrix runs
+validate_matrix when it is built, so no function here checks it again.
 
 Unit demand runs on one shortest-augmenting-path assignment solve in
 polynomial time, with no recursion. The tie-break is exact: integer
@@ -33,13 +34,14 @@ _INF = float("inf")
 
 @dataclass(frozen=True)
 class ValuationMatrix:
-    """Integer item values, one row per bidder, every entry in [0, bound]."""
+    """Integer item values, one row per bidder, every entry in [0, bound]; checked when built."""
 
     values: tuple[tuple[int, ...], ...]
     bound: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(tuple(row) for row in self.values))
+        validate_matrix(self)
 
     @property
     def n_bidders(self) -> int:
@@ -138,7 +140,6 @@ def vcg_additive(v: ValuationMatrix) -> AuctionOutcome:
     item's second-highest value; a bidder's price is the sum over the items
     she wins. With a single bidder everything is hers for free.
     """
-    validate_matrix(v)
     allocation = [set() for _ in range(v.n_bidders)]
     prices = [0] * v.n_bidders
     for j in range(v.n_items):
@@ -156,7 +157,6 @@ def menu_additive(i: int, v: ValuationMatrix) -> tuple[int, ...]:
     Her menu offers every item independently at its price, skipping an item
     costs nothing, and her own row never matters.
     """
-    validate_matrix(v)
     if not 0 <= i < v.n_bidders:
         raise InstanceError(f"no bidder {i}")
     others = [row for k, row in enumerate(v.values) if k != i]
@@ -299,7 +299,6 @@ def max_weight_matching(v: ValuationMatrix) -> Assignment:
     shortest-augmenting-path solve over integer-perturbed weights finds it:
     O(r^2 * c) for r the smaller and c the larger of bidders and items.
     """
-    validate_matrix(v)
     return tuple(_optimum(_perturbed(v.values)[0], v.n_items)[0])
 
 
@@ -313,7 +312,6 @@ def vcg_unit_demand(v: ValuationMatrix) -> AuctionOutcome:
     welfare without bidder k is the solve's welfare, less k's weight, plus
     the least price of k's item.
     """
-    validate_matrix(v)
     w, scale = _perturbed(v.values)
     item_of, _, pot = _optimum(w, v.n_items)
     least = _least_prices(w, {j: k for k, j in enumerate(item_of) if j is not None}, pot)
@@ -342,7 +340,6 @@ def menu_unit_demand(i: int, v: ValuationMatrix) -> tuple[int, ...]:
     is the value of j to its holder less the least price of that holder in
     the market read with items as the agents.
     """
-    validate_matrix(v)
     if not 0 <= i < v.n_bidders:
         raise InstanceError(f"no bidder {i}")
     others = v.values[:i] + v.values[i + 1 :]
@@ -369,12 +366,9 @@ def parse_auction(raw: bytes | str) -> ValuationMatrix:
         values = []
     if problems:
         raise InstanceError("\n".join(problems))
-    matrix = ValuationMatrix(values=tuple(tuple(row) for row in values), bound=doc["K"])
-    validate_matrix(matrix)
-    return matrix
+    return ValuationMatrix(values=values, bound=doc["K"])
 
 
 def serialize_auction(v: ValuationMatrix) -> str:
     """Serialize a ValuationMatrix to the JSON auction format."""
-    validate_matrix(v)
     return json.dumps({"K": v.bound, "values": [list(r) for r in v.values]}, indent=2) + "\n"

@@ -179,11 +179,6 @@ def cmd_menu(args: argparse.Namespace) -> int:
 
     p = parse_instance(_read(args.instance))
     i = _applicant_index(p, args.applicant)
-    if p.applicant_prefs[i]:
-        sys.stderr.write(
-            f"note: {args.applicant}'s submitted list is ignored; "
-            "the menu quantifies over every list she could submit\n"
-        )
     engine = args.engine
     if engine == "da":
         menu = menus.menu_da(i, p)
@@ -198,6 +193,11 @@ def cmd_menu(args: argparse.Namespace) -> int:
     else:
         order = _parse_order(p, args.order) if args.mechanism == "sd" else None
         menu = menus.menu_oracle_exhaustive(args.mechanism, i, p, order)
+    if p.applicant_prefs[i]:  # noted once the menu stands, so a failing run writes one stderr line
+        sys.stderr.write(
+            f"note: {args.applicant}'s submitted list is ignored; "
+            "the menu quantifies over every list she could submit\n"
+        )
     names = sorted(p.institution_names[h] for h in menu)
     payload = {"applicant": args.applicant, "engine": engine, "menu": names}
     text = f"menu of {args.applicant}: " + (", ".join(names) if names else "(empty)") + "\n"
@@ -383,10 +383,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
         _print_json({"instance": json.loads(body), "metadata": meta})
         return 0
     out = Path(args.out)
-    out.write_text(body, encoding="utf-8")
-    stem = out.name[: -len(".json")] if out.name.endswith(".json") else out.name
-    sidecar = out.with_name(stem + ".meta.json")
-    sidecar.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    try:
+        out.write_text(body, encoding="utf-8")
+        stem = out.name[: -len(".json")] if out.name.endswith(".json") else out.name
+        sidecar = out.with_name(stem + ".meta.json")
+        sidecar.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise InstanceError(f"cannot write {exc.filename or out}: {exc.strerror or exc}") from exc
     sys.stderr.write(f"wrote {out} and {sidecar}\n")
     return 0
 
@@ -468,8 +471,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except ValueError as exc:  # an input error; a message listing several problems goes on one line
+        sys.stderr.write(f"error: {'; '.join(str(exc).splitlines())}\n")
         return 2
     except Exception as exc:  # a fault in mdm itself, not in the input
         where = traceback.extract_tb(exc.__traceback__)[-1]

@@ -46,12 +46,10 @@ def gen_random_market(n: int, seed: int, truncation_prob: float = 0.0) -> Profil
     prefs = draw_lists(n)
     prios = draw_lists(n)
     width = len(str(n - 1))
-    return Profile(
-        applicant_names=tuple(f"d{i:0{width}d}" for i in range(n)),
-        institution_names=tuple(f"h{j:0{width}d}" for j in range(n)),
-        applicant_prefs=prefs,
-        institution_prios=prios,
-    )
+    # Checked by construction: n lists and unit capacities a side, distinct names split by
+    # their d/h prefix, entries unrepeated ints in range(n) (prefixes of permutations).
+    names_d = tuple(f"d{i:0{width}d}" for i in range(n))
+    return Profile._derive(names_d, tuple(f"h{j:0{width}d}" for j in range(n)), prefs, prios, checked=True)
 
 
 @dataclass(frozen=True)
@@ -62,7 +60,7 @@ class CycleGridParams:
     cycles and n/4 bottom cycles, plus one distinguished applicant whose
     list is left empty. ``subsets[j]`` lists the bottom main institutions
     woven into top applicant j's preference list between her own cycle's
-    two institutions; ``truncate[j]`` drops her final fallback entirely.
+    two institutions; ``truncate[j]`` drops her final fallback entirely. Checked when built.
     """
 
     n: int
@@ -72,6 +70,7 @@ class CycleGridParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "subsets", tuple(tuple(s) for s in self.subsets))
         object.__setattr__(self, "truncate", tuple(bool(b) for b in self.truncate))
+        _validate_cycle_grid(self)
 
 
 def _validate_cycle_grid(params: CycleGridParams) -> None:
@@ -102,7 +101,6 @@ def gen_cycle_grid(params: CycleGridParams) -> Profile:
     institutions rank only the distinguished applicant, whose own list is
     empty and who has index n (the last applicant).
     """
-    _validate_cycle_grid(params)
     n = params.n
     k = n // 4
     half = n // 2
@@ -150,9 +148,7 @@ def cycle_grid_params(p: Profile) -> CycleGridParams:
         else:
             subsets.append(prefs[1:])
             truncate.append(True)
-    params = CycleGridParams(n=n, subsets=tuple(subsets), truncate=tuple(truncate))
-    _validate_cycle_grid(params)
-    return params
+    return CycleGridParams(n=n, subsets=tuple(subsets), truncate=tuple(truncate))
 
 
 @dataclass(frozen=True)
@@ -162,7 +158,7 @@ class BitProbeParams:
     ``bits`` is a k-by-k 0/1 matrix and ``probe`` a 0-based (p, q) pair.
     The generated auction has a perfect matching of bidders to demanded
     items exactly when bits[p][q] is 1, so any pass over the items must
-    carry all k*k bits once the first half has been read.
+    carry all k*k bits once the first half has been read. Checked when built.
     """
 
     k: int
@@ -172,6 +168,7 @@ class BitProbeParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "bits", tuple(tuple(row) for row in self.bits))
         object.__setattr__(self, "probe", tuple(self.probe))
+        _validate_bit_probe(self)
 
 
 def _validate_bit_probe(params: BitProbeParams) -> None:
@@ -199,7 +196,6 @@ def gen_bit_probe_auction(params: BitProbeParams) -> ValuationMatrix:
     matching then exists exactly when bits[p][q] is 1, because the late
     items soak up everyone except carrier q, who must cover early item p.
     """
-    _validate_bit_probe(params)
     k = params.k
     p, q = params.probe
     n = 2 * k
@@ -213,7 +209,7 @@ def gen_bit_probe_auction(params: BitProbeParams) -> ValuationMatrix:
     for t, j in enumerate(spare):
         values[k + j][k + t] = 1
     values[p][n - 1] = 1
-    return ValuationMatrix(values=tuple(tuple(row) for row in values), bound=1)
+    return ValuationMatrix(values=values, bound=1)
 
 
 def fixture_nonlocal_menu() -> tuple[Profile, Profile]:

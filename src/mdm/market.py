@@ -4,7 +4,8 @@ Agents are addressed by string names in instance files and by dense integer
 indices everywhere else. Preference and priority lists hold indices into the
 opposite side, best first; a partial list marks every omitted agent as
 unacceptable, and "unmatched" is always the absence of a pair, never a
-sentinel agent.
+sentinel agent. validate_profile remembers a pass, parse_instance and gen_random_market
+return checked profiles, and _list_problems is the one rule for every ranked list.
 """
 
 from __future__ import annotations
@@ -166,8 +167,7 @@ class Profile:
 
     def transposed(self) -> Profile:
         """Swap the two sides, and with them the two rank tables. Requires unit capacities."""
-        if not self.unit_capacity:
-            raise InstanceError("cannot transpose a profile with capacities above 1")
+        _require_unit(self)
         return Profile._derive(
             self.institution_names, self.applicant_names, self.institution_prios, self.applicant_prefs,
             checked=self._checked, applicant_rank=lambda: self.institution_rank,
@@ -210,15 +210,18 @@ class Matching:
         return self.by_applicant.get(applicant)
 
 
-def _list_problems(side: str, owner: int, ranked: tuple[int, ...], bound: int) -> list[str]:
-    """Problems of one ranked list whose entries index the other side's 0..bound-1."""
+def _list_problems(side: str, owner: int, ranked: tuple, bound: int) -> list[str]:
+    """Problems of one ranked list: each entry an int, not a bool, in the other side's
+    0..bound-1, and none repeated. Each test runs on the whole list in C; a failing one walks it."""
     other = INSTITUTION if side == APPLICANT else APPLICANT
     problems = []
+    if not set(map(type, ranked)) <= {int}:  # bool and every other int subclass fail too
+        problems = [f"{side} {owner} lists invalid {other} index {x!r}" for x in ranked if type(x) is not int]
+        ranked = [x for x in ranked if type(x) is int]
     if len(set(ranked)) != len(ranked):
         problems.append(f"{side} {owner} lists some {other} twice")
-    for x in ranked:
-        if not 0 <= x < bound:
-            problems.append(f"{side} {owner} lists invalid {other} index {x}")
+    if ranked and not (min(ranked) >= 0 and max(ranked) < bound):
+        problems += [f"{side} {owner} lists invalid {other} index {x}" for x in ranked if not 0 <= x < bound]
     return problems
 
 

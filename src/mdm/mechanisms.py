@@ -442,12 +442,11 @@ def receiver_optimal(
     each closed chain back as a rotation. The flipped form returns the
     institution-optimal matching while reading applicant lists in rank order.
     """
+    validate_profile(p)
     if proposing_side in (APPLICANT, "applicants"):
-        validate_profile(p)
         return _on_transposed(receiver_optimal, p, INSTITUTION, log)
     if proposing_side not in (INSTITUTION, "institutions"):
         raise InstanceError(f"unknown proposing side {proposing_side!r}")
-    validate_profile(p)
     _require_unit(p)
 
     # Pointers keep their final positions so the chain phase continues each

@@ -42,6 +42,7 @@ from mdm.market import (
     Matching,
     Profile,
     _check_applicant,
+    _list_problems,
     _require_unit,
     validate_profile,
 )
@@ -624,11 +625,8 @@ def complete_from_plan(plan: MenuPlan, prefs: Sequence[int], log: QueryLog | Non
     i = plan.applicant
     q = plan.market
     prefs = tuple(prefs)
-    seen: set[int] = set()
-    for h in prefs:
-        if not isinstance(h, int) or not 0 <= h < q.n_institutions or h in seen:
-            raise InstanceError(f"invalid preference list for applicant {i}: {prefs!r}")
-        seen.add(h)
+    if _list_problems(APPLICANT, i, prefs, q.n_institutions):
+        raise InstanceError(f"invalid preference list for applicant {i}: {prefs!r}")
     full = q.with_prefs(i, prefs)
     mu = dict(plan.tentative.by_applicant)
     nxt = list(plan.pointers)

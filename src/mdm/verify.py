@@ -3,9 +3,10 @@
 Each suite re-derives the same quantity along two independent routes over a
 stream of generated instances and reports every disagreement together with
 the instance that produced it.  A run is deterministic given (suite, size,
-trials, seed).  Trials run in chunks, and each call (``run_all`` included)
-maps every chunk of its suites over one process pool, or runs them in process
-for a single chunk or with MDM_NO_PARALLEL=1.  A report's ``wall_time`` is the
+trials, seed).  Trials run in chunks of at least 64, and each call (``run_all``
+included) maps every chunk of its suites over one process pool, or runs them in
+process for a single chunk or with MDM_NO_PARALLEL=1; a pool's start-up costs
+more than a suite of 64 small trials.  A report's ``wall_time`` is the
 summed time of its chunks, each timed where it ran; all else is identical.
 """
 
@@ -544,7 +545,7 @@ def _run_jobs(jobs: list[_Job]) -> list[VerificationReport]:
     """Run every trial chunk of every job on one process pool; one report per job."""
     chunks, owner = [], []
     for k, job in enumerate(jobs):
-        step = max(32, -(-job.trials // 16))
+        step = max(64, -(-job.trials // 16))
         for start in range(0, job.trials, step):
             chunks.append((job.trial, job.size, job.seed, start, min(start + step, job.trials)))
             owner.append(k)

@@ -5,7 +5,8 @@ wins. Holding the others fixed, a voter's menu is the interval between the
 two middle values of the remaining votes: she can drag the median anywhere
 inside it, and her best achievable point is the clamp of her own vote into
 that interval. That clamp always equals the median of the full profile,
-which is what makes truthful voting safe.
+which is what makes truthful voting safe. A VoteProfile runs validate_votes
+when it is built, so no function here checks it again.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ from mdm.market import InstanceError, load_json_object
 
 @dataclass(frozen=True)
 class VoteProfile:
-    """Votes on the candidate line 1..candidates, one per voter, odd count."""
+    """Votes on the candidate line 1..candidates, one per voter, odd count; checked when built."""
 
     candidates: int
     votes: tuple[int, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "votes", tuple(self.votes))
+        validate_votes(self)
 
     @property
     def n_voters(self) -> int:
@@ -50,7 +52,6 @@ def validate_votes(v: VoteProfile) -> None:
 
 def median_outcome(v: VoteProfile) -> int:
     """The elected candidate: the middle element of the sorted votes."""
-    validate_votes(v)
     return sorted(v.votes)[v.n_voters // 2]
 
 
@@ -60,7 +61,6 @@ def median_menu(v: VoteProfile, i: int) -> tuple[int, int]:
     With the other votes sorted, the interval spans their two middle
     elements. For three voters that is simply (min, max) of the other two.
     """
-    validate_votes(v)
     if not 0 <= i < v.n_voters:
         raise InstanceError(f"no voter {i}")
     others = sorted(v.votes[:i] + v.votes[i + 1 :])
@@ -90,12 +90,9 @@ def parse_votes(raw: bytes | str) -> VoteProfile:
         votes = []
     if problems:
         raise InstanceError("\n".join(problems))
-    profile = VoteProfile(candidates=doc["C"], votes=tuple(votes))
-    validate_votes(profile)
-    return profile
+    return VoteProfile(candidates=doc["C"], votes=votes)
 
 
 def serialize_votes(v: VoteProfile) -> str:
     """Serialize a VoteProfile to the JSON vote format."""
-    validate_votes(v)
     return json.dumps({"C": v.candidates, "votes": list(v.votes)}, indent=2) + "\n"

@@ -11,7 +11,7 @@ import pytest
 
 from mdm.cli import main
 from mdm.generators import fixture_budget_set, fixture_nonlocal_outcome
-from mdm.market import serialize_instance
+from mdm.market import Profile, serialize_instance
 
 
 @pytest.fixture()
@@ -334,3 +334,44 @@ def test_size_flags_are_capped(argv, flag, cap, capsys, monkeypatch):
     assert code == 2 and len(reached) == 1
     assert out == ""
     assert err == f"error: {flag} must be at most {cap}, got {cap + 1}\n"
+
+
+@pytest.mark.parametrize(("where", "reason"), [("missing/x.json", "No such file or directory"), ("", "Is a directory")])
+def test_gen_out_to_an_unwritable_path_exits_2(where, reason, tmp_path, capsys):
+    out = tmp_path / where
+    code, stdout, err = run(capsys, "gen", "--family", "empty-menu", "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: cannot write {out}: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--mechanism", "ipda"],
+        ["solve", "--mechanism", "receiver-optimal", "--proposing", "applicants"],
+        ["solve", "--mechanism", "apda"],
+        ["menu", "--engine", "da", "--applicant", "d1"],
+        ["describe", "--applicant", "d1"],
+    ],
+)
+def test_capacity_above_one_gets_one_message(argv, tmp_path, capsys):
+    q = fixture_budget_set()
+    path = tmp_path / "cap.json"
+    path.write_text(serialize_instance(
+        Profile(q.applicant_names, q.institution_names, q.applicant_prefs, q.institution_prios, (2, 1, 1, 1))
+    ))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: this operation requires capacity 1 everywhere\n"
+
+
+def test_an_input_error_with_several_problems_is_one_stderr_line(budget_path, capsys):
+    code, out, err = run(capsys, "solve", "--mechanism", "median", budget_path)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: top level: unknown field 'applicants'; top level: unknown field 'institutions'; "
+        "top level: missing field 'C'\n"
+    )

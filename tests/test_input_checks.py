@@ -1,0 +1,127 @@
+"""Each input is checked once, where it is made: one rule for ranked lists,
+self-checking valuation matrices and vote profiles, checked random markets."""
+
+import pytest
+
+from mdm import auctions, market, voting
+from mdm.auctions import (
+    ValuationMatrix,
+    max_weight_matching,
+    menu_additive,
+    menu_unit_demand,
+    serialize_auction,
+    vcg_additive,
+    vcg_unit_demand,
+)
+from mdm.generators import gen_random_market
+from mdm.market import InstanceError, Profile, validate_profile
+from mdm.menus import complete_from_plan, menu_da_plan
+from mdm.voting import VoteProfile, median_menu, median_outcome, serialize_votes
+
+BAD_ENTRIES = ["a", None, 1.0, True]
+
+
+def small(prefs=((0, 1), (1,)), prios=((0, 1), (1, 0))) -> Profile:
+    return Profile(("a", "b"), ("x", "y"), prefs, prios)
+
+
+@pytest.mark.parametrize("entry", BAD_ENTRIES, ids=repr)
+@pytest.mark.parametrize("side", ["applicant", "institution"])
+def test_validate_profile_rejects_any_non_int_entry(entry, side):
+    p = small(prefs=((entry, 1), (1,))) if side == "applicant" else small(prios=((0, 1), (entry,)))
+    owner, other = (0, "institution") if side == "applicant" else (1, "applicant")
+    with pytest.raises(InstanceError) as err:
+        validate_profile(p)
+    assert str(err.value) == f"{side} {owner} lists invalid {other} index {entry!r}"
+
+
+def test_non_int_entries_are_reported_with_the_other_problems_of_their_list():
+    p = small(prefs=(("a", 1, 1, 5), (1,)))
+    with pytest.raises(InstanceError) as err:
+        validate_profile(p)
+    assert str(err.value).splitlines() == [
+        "applicant 0 lists invalid institution index 'a'",
+        "applicant 0 lists some institution twice",
+        "applicant 0 lists invalid institution index 5",
+    ]
+
+
+@pytest.mark.parametrize("entry", BAD_ENTRIES, ids=repr)
+def test_with_prefs_with_a_bad_entry_gives_a_failing_profile(entry):
+    p = small()
+    validate_profile(p)
+    q = p.with_prefs(0, (entry,))
+    assert not q._checked
+    with pytest.raises(InstanceError):
+        validate_profile(q)
+
+
+@pytest.mark.parametrize("prefs", [(True,), (1.0,), ("a",), (None,), (0, 0), (2,), (-1,)], ids=repr)
+def test_complete_from_plan_rejects_a_bad_list(prefs):
+    plan = menu_da_plan(1, small())
+    with pytest.raises(InstanceError) as err:
+        complete_from_plan(plan, prefs)
+    assert str(err.value) == f"invalid preference list for applicant 1: {prefs!r}"
+
+
+@pytest.mark.parametrize(
+    ("values", "bound", "text"),
+    [
+        (((1, 2), (3,)), 3, "values[1]: has 1 entries, expected 2"),
+        (((1, 9),), 3, "values[0][1]: 9 is outside 0..3"),
+        (((1, True),), 3, "values[0][1]: expected an integer, got True"),
+        ((), 3, "values: need at least one bidder"),
+        (((1,),), -1, "K: must be a nonnegative integer, got -1\nvalues[0][0]: 1 is outside 0..-1"),
+    ],
+)
+def test_an_invalid_matrix_raises_at_construction(values, bound, text):
+    with pytest.raises(InstanceError) as err:
+        ValuationMatrix(values, bound)
+    assert str(err.value) == text
+
+
+@pytest.mark.parametrize(
+    ("candidates", "votes", "text"),
+    [
+        (5, (1, 2), "votes: need an odd number of voters, got 2"),
+        (3, (1, 4, 2), "votes[1]: 4 is outside 1..3"),
+        (3, (1, 2.0, 2), "votes[1]: expected an integer, got 2.0"),
+        (0, (1,), "candidates: must be an integer >= 1, got 0\nvotes[0]: 1 is outside 1..0"),
+    ],
+)
+def test_an_invalid_vote_profile_raises_at_construction(candidates, votes, text):
+    with pytest.raises(InstanceError) as err:
+        VoteProfile(candidates, votes)
+    assert str(err.value) == text
+
+
+def test_auction_and_voting_functions_do_not_recheck_their_input(monkeypatch):
+    v = ValuationMatrix(((3, 1, 0), (2, 4, 1), (5, 0, 2), (1, 1, 1)), 5)
+    votes = VoteProfile(7, (2, 7, 3, 3, 6))
+
+    def recheck(_):
+        raise AssertionError("an input was checked again after construction")
+
+    monkeypatch.setattr(auctions, "validate_matrix", recheck)
+    monkeypatch.setattr(voting, "validate_votes", recheck)
+    vcg_additive(v)
+    vcg_unit_demand(v)
+    max_weight_matching(v)
+    serialize_auction(v)
+    serialize_votes(votes)
+    assert median_outcome(votes) == 3
+    for i in range(v.n_bidders):
+        menu_additive(i, v)
+        menu_unit_demand(i, v)
+    for i in range(votes.n_voters):
+        median_menu(votes, i)
+
+
+@pytest.mark.parametrize("truncation_prob", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_random_markets_are_checked_and_valid(truncation_prob, seed):
+    for n in range(1, 41):
+        p = gen_random_market(n, seed, truncation_prob)
+        assert p._checked
+        assert market._profile_problems(p) == []
+        assert p == Profile(p.applicant_names, p.institution_names, p.applicant_prefs, p.institution_prios)
