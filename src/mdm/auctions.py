@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from mdm.market import InstanceError, load_json_object
+from mdm.market import InstanceError, _not_a_list, load_json_object
 
 Assignment = tuple  # item index or None per bidder
 _INF = float("inf")
@@ -40,7 +40,10 @@ class ValuationMatrix:
     bound: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(tuple(row) for row in self.values))
+        try:
+            object.__setattr__(self, "values", tuple(tuple(row) for row in self.values))
+        except TypeError:
+            raise _not_a_list(self, ("values",), ("values",)) from None
         validate_matrix(self)
 
     @property

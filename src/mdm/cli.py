@@ -19,7 +19,7 @@ import json
 import sys
 import traceback
 from pathlib import Path
-from typing import NoReturn
+from typing import Iterable, NoReturn
 
 from mdm import MECHANISM_TAGS, SUITE_NAMES
 from mdm.auctions import (
@@ -66,8 +66,8 @@ _FAMILIES = (
 )
 
 
-def _print_json(payload: object) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _json(payload: object) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _read(path: str) -> str:
@@ -75,6 +75,14 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InstanceError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def _int_groups(flag: str, raw: str, rule: str, groups: Iterable[Iterable[str]]) -> tuple[tuple[int, ...], ...]:
+    """Each group of strings cut from a flag's raw value, as ints; a string that is not one is an input error."""
+    try:
+        return tuple(tuple(int(x) for x in g) for g in groups)
+    except ValueError:
+        raise InstanceError(f"{flag} {rule}, got {raw!r}") from None
 
 
 def _at_most(flag: str, value: int | None, cap: int) -> None:
@@ -128,11 +136,8 @@ def _auction_text(payload: dict[str, object]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(payload: dict[str, object], fmt: str, text: str) -> None:
-    if fmt == "text":
-        sys.stdout.write(text)
-    else:
-        _print_json(payload)
+def _emit(payload: object, fmt: str, text: str) -> None:
+    sys.stdout.write(text if fmt == "text" else _json(payload))
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -210,10 +215,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     trials: int | str | None = args.trials
     if trials is not None and trials != "exhaustive":
-        try:
-            trials = int(trials)
-        except ValueError:
-            raise InstanceError(f"--trials must be an integer or 'exhaustive', got {trials!r}") from None
+        trials = _int_groups("--trials", trials, "must be an integer or 'exhaustive'", [[trials]])[0][0]
     if args.suite == "all":
         if trials is not None or args.n is not None:
             raise InstanceError("--suite all runs every suite at its default size and trial count")
@@ -222,17 +224,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _at_most("--n", args.n, _MAX_VERIFY_N)
         _at_most("--trials", trials if isinstance(trials, int) else None, _MAX_VERIFY_TRIALS)
         reports = [run_suite(args.suite, trials=trials, size=args.n, seed=args.seed)]
+    lines = []
     for r in reports:
         sys.stderr.write(r.summary() + "\n")
-    if args.format == "text":
-        for r in reports:
-            sys.stdout.write(r.summary() + "\n")
-            for f in r.failures:
-                sys.stdout.write(f"  expected: {f.expectation}\n  observed: {f.observed}\n")
-                sys.stdout.write("  instance: " + " ".join(f.instance.split()) + "\n")
-    else:
-        docs = [r.as_dict() for r in reports]
-        _print_json(docs[0] if len(docs) == 1 else docs)
+        lines.append(r.summary())
+        for f in r.failures:
+            instance = " ".join(f.instance.split())
+            lines += [f"  expected: {f.expectation}", f"  observed: {f.observed}", f"  instance: {instance}"]
+    docs = [r.as_dict() for r in reports]
+    _emit(docs[0] if len(docs) == 1 else docs, args.format, "\n".join(lines) + "\n")
     return 0 if all(r.ok for r in reports) else 1
 
 
@@ -262,10 +262,7 @@ def cmd_describe(args: argparse.Namespace) -> int:
     else:
         lines.append("You have not earned admission anywhere: you will remain unmatched whatever you submit.")
     text = "\n".join(lines) + "\n"
-    if args.format == "json":
-        _print_json({"applicant": name, "menu": menu, "hypothetical": hypothetical, "text": text})
-    else:
-        sys.stdout.write(text)
+    _emit({"applicant": name, "menu": menu, "hypothetical": hypothetical, "text": text}, args.format, text)
     return 0
 
 
@@ -288,23 +285,6 @@ def cmd_states(args: argparse.Namespace) -> int:
     )
     _emit(payload, args.format, text)
     return 0 if ok else 1
-
-
-def _parse_subsets(raw: str | None, k: int) -> tuple[tuple[int, ...], ...]:
-    if raw is None:
-        return ((),) * k
-    try:
-        return tuple(tuple(int(x) for x in g.split(",") if x.strip() != "") for g in raw.split("/"))
-    except ValueError:
-        raise InstanceError(f"--subsets must be '/'-separated comma lists of integers, got {raw!r}") from None
-
-
-def _parse_bits(raw: str) -> tuple[tuple[int, ...], ...]:
-    rows = raw.split("/")
-    try:
-        return tuple(tuple(int(c) for c in row) for row in rows)
-    except ValueError:
-        raise InstanceError(f"--bits rows must be strings of 0/1 separated by '/', got {raw!r}") from None
 
 
 def _gen_instance(args: argparse.Namespace) -> tuple[str, dict[str, object]]:
@@ -336,11 +316,15 @@ def _gen_instance(args: argparse.Namespace) -> tuple[str, dict[str, object]]:
         if args.n is None:
             raise InstanceError("--n is required for the cycle-grid family")
         k = args.n // 4
-        subsets = _parse_subsets(args.subsets, k)
-        try:
-            truncate = tuple(int(b) != 0 for b in args.truncate.split(",")) if args.truncate else (False,) * k
-        except ValueError:
-            raise InstanceError(f"--truncate must be comma-separated 0/1 bits, got {args.truncate!r}") from None
+        subsets, truncate = ((),) * k, (False,) * k
+        if args.subsets is not None:
+            subsets = _int_groups("--subsets", args.subsets, "must be '/'-separated comma lists of integers",
+                                  ([x for x in g.split(",") if x.strip() != ""] for g in args.subsets.split("/")))
+        if args.truncate:
+            (bits,) = _int_groups(
+                "--truncate", args.truncate, "must be comma-separated 0/1 bits", [args.truncate.split(",")]
+            )
+            truncate = tuple(b != 0 for b in bits)
         params = CycleGridParams(args.n, subsets, truncate)
         meta = {
             "family": family,
@@ -352,11 +336,8 @@ def _gen_instance(args: argparse.Namespace) -> tuple[str, dict[str, object]]:
     if family == "bit-probe":
         if args.bits is None or args.probe is None:
             raise InstanceError("--bits and --probe are required for the bit-probe family")
-        bits = _parse_bits(args.bits)
-        try:
-            pq = tuple(int(x) for x in args.probe.split(","))
-        except ValueError:
-            raise InstanceError(f"--probe must be 'row,col', got {args.probe!r}") from None
+        bits = _int_groups("--bits", args.bits, "rows must be strings of 0/1 separated by '/'", args.bits.split("/"))
+        (pq,) = _int_groups("--probe", args.probe, "must be 'row,col'", [args.probe.split(",")])
         if len(pq) != 2:
             raise InstanceError(f"--probe must be 'row,col', got {args.probe!r}")
         params = BitProbeParams(len(bits), bits, (pq[0], pq[1]))
@@ -380,14 +361,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
     _at_most("--n", args.n, _MAX_GEN_N)
     body, meta = _gen_instance(args)
     if args.out is None:
-        _print_json({"instance": json.loads(body), "metadata": meta})
+        sys.stdout.write(_json({"instance": json.loads(body), "metadata": meta}))
         return 0
     out = Path(args.out)
     try:
         out.write_text(body, encoding="utf-8")
         stem = out.name[: -len(".json")] if out.name.endswith(".json") else out.name
         sidecar = out.with_name(stem + ".meta.json")
-        sidecar.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        sidecar.write_text(_json(meta), encoding="utf-8")
     except OSError as exc:
         raise InstanceError(f"cannot write {exc.filename or out}: {exc.strerror or exc}") from exc
     sys.stderr.write(f"wrote {out} and {sidecar}\n")

@@ -25,6 +25,17 @@ class InstanceError(ValueError):
     """An instance file, Profile, or Matching violates the data contract."""
 
 
+def _not_a_list(obj: object, names: tuple[str, ...], nested: tuple[str, ...] = ()) -> InstanceError:
+    """The error for a constructor whose field, or a row of a nested field, is not iterable; names the first."""
+    for name in names:
+        value = getattr(obj, name)
+        rows = enumerate(value) if name in nested and isinstance(value, (list, tuple)) else ()
+        for where, x in [(name, value), *((f"{name}[{k}]", row) for k, row in rows)]:
+            if not hasattr(x, "__iter__"):
+                return InstanceError(f"{where}: expected a list, got {x!r}")
+    return InstanceError(f"{', '.join(names)}: expected lists")  # a failing iterator is spent, so its row is lost
+
+
 RankTable = tuple[dict[int, int], ...]
 
 
@@ -76,15 +87,19 @@ class Profile:
     _checked = False  # set on the instance by a pass of validate_profile
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "applicant_names", tuple(self.applicant_names))
-        object.__setattr__(self, "institution_names", tuple(self.institution_names))
-        object.__setattr__(
-            self, "applicant_prefs", tuple(tuple(l) for l in self.applicant_prefs)
-        )
-        object.__setattr__(
-            self, "institution_prios", tuple(tuple(l) for l in self.institution_prios)
-        )
-        caps = tuple(self.capacities) or (1,) * len(self.institution_names)
+        try:
+            object.__setattr__(self, "applicant_names", tuple(self.applicant_names))
+            object.__setattr__(self, "institution_names", tuple(self.institution_names))
+            object.__setattr__(
+                self, "applicant_prefs", tuple(tuple(l) for l in self.applicant_prefs)
+            )
+            object.__setattr__(
+                self, "institution_prios", tuple(tuple(l) for l in self.institution_prios)
+            )
+            caps = tuple(self.capacities) or (1,) * len(self.institution_names)
+        except TypeError:
+            nested = ("applicant_prefs", "institution_prios")
+            raise _not_a_list(self, ("applicant_names", "institution_names", *nested, "capacities"), nested) from None
         object.__setattr__(self, "capacities", caps)
 
     @classmethod

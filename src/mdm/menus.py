@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from mdm import MECHANISM_TAGS
 from mdm.market import (
@@ -77,21 +77,24 @@ def _run_mechanism(mech: str, p: Profile, order: Sequence[int] | None) -> Matchi
     raise InstanceError(f"unknown mechanism tag {mech!r}; expected one of {MECHANISM_TAGS}")
 
 
+def _probe(mech: str, i: int, p: Profile, order: Sequence[int] | None, reports: Iterable[tuple[int, ...]]) -> Menu:
+    """Every institution the mechanism matches i to under one of her given reports, the others' held fixed."""
+    runs = (_run_mechanism(mech, p.with_prefs(i, report), order) for report in reports)
+    return frozenset(mu.institution_of(i) for mu in runs) - {None}
+
+
 def menu_oracle_singleton(mech: str, i: int, p: Profile, order: Sequence[int] | None = None) -> Menu:
     """Menu probe via singleton reports.
 
     An institution is on the menu iff reporting the one-entry list (h,)
     matches i to h. Sound only for strategyproof mechanisms, where obtaining
-    h with some list implies obtaining it with the singleton.
+    h with some list implies obtaining it with the singleton. Every
+    mechanism here matches i only to an institution she lists, so the report
+    (h,) yields h or nothing.
     """
     validate_profile(p)
     _check_applicant(p, i)
-    menu = set()
-    for h in range(p.n_institutions):
-        outcome = _run_mechanism(mech, p.with_prefs(i, (h,)), order)
-        if outcome.institution_of(i) == h:
-            menu.add(h)
-    return frozenset(menu)
+    return _probe(mech, i, p, order, ((h,) for h in range(p.n_institutions)))
 
 
 def menu_oracle_exhaustive(mech: str, i: int, p: Profile, order: Sequence[int] | None = None) -> Menu:
@@ -107,14 +110,8 @@ def menu_oracle_exhaustive(mech: str, i: int, p: Profile, order: Sequence[int] |
         raise InstanceError(
             f"exhaustive menu enumeration supports at most {_EXHAUSTIVE_CAP} institutions, got {m}"
         )
-    menu = set()
-    for r in range(m + 1):
-        for report in itertools.permutations(range(m), r):
-            outcome = _run_mechanism(mech, p.with_prefs(i, report), order)
-            h = outcome.institution_of(i)
-            if h is not None:
-                menu.add(h)
-    return frozenset(menu)
+    reports = itertools.chain.from_iterable(itertools.permutations(range(m), r) for r in range(m + 1))
+    return _probe(mech, i, p, order, reports)
 
 
 def menu_da_many_to_one(i: int, p: Profile) -> Menu:

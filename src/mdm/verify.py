@@ -17,8 +17,8 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from dataclasses import asdict, dataclass
+from typing import NamedTuple, Union
 
 from mdm import SUITE_NAMES
 from mdm.auctions import (
@@ -92,13 +92,6 @@ class Failure:
     expectation: str
     observed: str
 
-    def as_dict(self) -> dict[str, str]:
-        return {
-            "instance": self.instance,
-            "expectation": self.expectation,
-            "observed": self.observed,
-        }
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -117,7 +110,7 @@ class VerificationReport:
             "suite": self.suite,
             "trials": self.trials,
             "seed": self.seed,
-            "failures": [f.as_dict() for f in self.failures],
+            "failures": [asdict(f) for f in self.failures],
             "wall_time": round(self.wall_time, 3),
             "ok": self.ok,
         }
@@ -127,12 +120,18 @@ class VerificationReport:
         return f"{self.suite}: {self.trials} trials, {verdict} ({self.wall_time:.2f}s, seed {self.seed})"
 
 
-def _failures(instance: Callable[[], str], problems: list[tuple[str, str]]) -> list[Failure]:
-    """(expectation, observed) pairs as failures of one instance, serialized only if there are any."""
-    if not problems:
-        return []
-    text = instance()
-    return [Failure(text, expectation, observed) for expectation, observed in problems]
+# A failed check: (instance, expectation, observed). The instance is the
+# market, matrix or vote profile itself, or text already made (a bid list).
+Problem = tuple[Union[Profile, ValuationMatrix, VoteProfile, str], str, str]
+_SERIALIZERS = {Profile: serialize_instance, ValuationMatrix: serialize_auction, VoteProfile: serialize_votes}
+
+
+def _failures(problems: list[Problem]) -> list[Failure]:
+    """A trial's problems as failures; the one place an instance becomes text, serialized by its type."""
+    return [
+        Failure(instance if isinstance(instance, str) else _SERIALIZERS[type(instance)](instance), *check)
+        for instance, *check in problems
+    ]
 
 
 def _score(true_list: tuple[int, ...], h: int | None) -> int:
@@ -167,6 +166,7 @@ def _menus_trial(size: int, seed: int, t: int) -> list[Failure]:
     for name, got in routes:
         if got != ref:
             problems.append((
+                p,
                 f"deferred-acceptance menu of applicant {i} is {sorted(ref)}",
                 f"{name} computed {sorted(got)}",
             ))
@@ -177,10 +177,11 @@ def _menus_trial(size: int, seed: int, t: int) -> list[Failure]:
     ]:
         if fast != oracle:
             problems.append((
+                p,
                 f"{label} menu of applicant {i} is {sorted(oracle)} by report probing",
                 f"direct computation gave {sorted(fast)}",
             ))
-    return _failures(lambda: serialize_instance(p), problems)
+    return _failures(problems)
 
 
 def _stability_trial(size: int, seed: int, t: int) -> list[Failure]:
@@ -193,6 +194,7 @@ def _stability_trial(size: int, seed: int, t: int) -> list[Failure]:
         blocks = blocking_pairs(p, mu)
         if blocks:
             problems.append((
+                p,
                 f"{name} deferred acceptance yields no blocking pairs",
                 f"blocking pairs {sorted(blocks)}",
             ))
@@ -201,10 +203,11 @@ def _stability_trial(size: int, seed: int, t: int) -> list[Failure]:
         true = p.applicant_prefs[d]
         if _score(true, mu_d.get(d)) > _score(true, nu_d.get(d)):
             problems.append((
+                p,
                 f"applicant {d} weakly prefers the applicant-proposing outcome",
                 f"gets {mu_d.get(d)} there but {nu_d.get(d)} under institution proposing",
             ))
-    return _failures(lambda: serialize_instance(p), problems)
+    return _failures(problems)
 
 
 # Pinned 4x4 market for the exhaustive strategyproofness sweep: priorities
@@ -242,10 +245,11 @@ def _check_deviations(
             got = _score(true, run(p.with_prefs(i, rep)).by_applicant.get(i))
             if got < honest:
                 problems.append((
+                    base,
                     f"{mech}: applicant {i} cannot beat the truth {true}",
                     f"reporting {rep} improves rank {honest} to {got}",
                 ))
-    return _failures(lambda: serialize_instance(base), problems)
+    return _failures(problems)
 
 
 def _strategyproofness_trial(size: int, seed: int, t: int) -> list[Failure]:
@@ -269,18 +273,16 @@ def _strategyproofness_exhaustive_trial(size: int, seed: int, t: int) -> list[Fa
 
 def _rural_trial(size: int, seed: int, t: int) -> list[Failure]:
     p = gen_random_market(size, seed + t, truncation_prob=0.3)
-    failures = []
+    problems = []
     sets_a = matched_sets(apda(p))
     sets_i = matched_sets(ipda(p))
     if sets_a != sets_i:
-        failures.append(
-            Failure(
-                serialize_instance(p),
-                "the same applicants and institutions are matched in every stable matching",
-                f"applicant-proposing matches {tuple(map(sorted, sets_a))}, "
-                f"institution-proposing {tuple(map(sorted, sets_i))}",
-            )
-        )
+        problems.append((
+            p,
+            "the same applicants and institutions are matched in every stable matching",
+            f"applicant-proposing matches {tuple(map(sorted, sets_a))}, "
+            f"institution-proposing {tuple(map(sorted, sets_i))}",
+        ))
     # Capacity variant: the per-institution fill is also invariant.
     rng = random.Random((seed + t) ^ 0x0C0C)
     caps = tuple(rng.randint(1, 2) for _ in range(p.n_institutions))
@@ -292,14 +294,12 @@ def _rural_trial(size: int, seed: int, t: int) -> list[Failure]:
         by_h = folded.by_institution
         fills.append(tuple(len(by_h.get(h, frozenset())) for h in range(wide.n_institutions)))
     if fills[0] != fills[1]:
-        failures.append(
-            Failure(
-                serialize_instance(wide),
-                f"per-institution fill {fills[0]} is the same in every stable matching",
-                f"institution-proposing run fills {fills[1]}",
-            )
-        )
-    return failures
+        problems.append((
+            wide,
+            f"per-institution fill {fills[0]} is the same in every stable matching",
+            f"institution-proposing run fills {fills[1]}",
+        ))
+    return _failures(problems)
 
 
 def _rotations_trial(size: int, seed: int, t: int) -> list[Failure]:
@@ -312,42 +312,40 @@ def _rotations_trial(size: int, seed: int, t: int) -> list[Failure]:
     for name, got, want in pairs:
         if got != want:
             problems.append((
+                p,
                 f"{name} equals the receiver-optimal stable matching {sorted(want.pairs)}",
                 f"computed {sorted(got.pairs)}",
             ))
-    return _failures(lambda: serialize_instance(p), problems)
+    return _failures(problems)
 
 
 def _plan_trial(size: int, seed: int, t: int) -> list[Failure]:
     p = gen_random_market(size, seed + t, truncation_prob=0.3)
     i = t % size
     plan = menu_da_plan(i, p)
-    failures = []
+    problems = []
     if plan.menu != menu_da(i, p):
-        failures.append(
-            Failure(
-                serialize_instance(p),
-                f"plan menu for applicant {i} equals the deferred-acceptance menu {sorted(menu_da(i, p))}",
-                f"plan computed {sorted(plan.menu)}",
-            )
-        )
+        problems.append((
+            p,
+            f"plan menu for applicant {i} equals the deferred-acceptance menu {sorted(menu_da(i, p))}",
+            f"plan computed {sorted(plan.menu)}",
+        ))
     true = p.applicant_prefs[i]
     rng = random.Random((seed + t) ^ 0x7A7A)
     lists = [true[:k] for k in range(len(true) + 1)]
     lists.append(tuple(rng.sample(range(size), rng.randint(0, size))))
     for rep in lists:
-        want = apda(p.with_prefs(i, rep))
+        reported = p.with_prefs(i, rep)
+        want = apda(reported)
         got = complete_from_plan(plan, rep)
         if got != want:
-            failures.append(
-                Failure(
-                    serialize_instance(p.with_prefs(i, rep)),
-                    f"completing the plan of applicant {i} with list {rep} "
-                    f"matches a fresh run: {sorted(want.pairs)}",
-                    f"plan completion gave {sorted(got.pairs)}",
-                )
-            )
-    return failures
+            problems.append((
+                reported,
+                f"completing the plan of applicant {i} with list {rep} "
+                f"matches a fresh run: {sorted(want.pairs)}",
+                f"plan completion gave {sorted(got.pairs)}",
+            ))
+    return _failures(problems)
 
 
 def _assignment_value(v: ValuationMatrix, assignment: tuple[int | None, ...]) -> int:
@@ -364,28 +362,23 @@ def _brute_welfare(v: ValuationMatrix) -> int:
     return best
 
 
-def _auctions_fixed_checks() -> list[Failure]:
-    failures = []
+def _auctions_fixed_checks(problems: list[Problem]) -> None:
     lone = ValuationMatrix(((3, 0, 2),), 5)
     out = vcg_additive(lone)
     if out.prices != (0,) or out.allocation[0] != frozenset({0, 1, 2}):
-        failures.append(
-            Failure(
-                serialize_auction(lone),
-                "a lone bidder wins every item and pays nothing",
-                f"allocation {out.allocation}, prices {out.prices}",
-            )
-        )
+        problems.append((
+            lone,
+            "a lone bidder wins every item and pays nothing",
+            f"allocation {out.allocation}, prices {out.prices}",
+        ))
     bids = (4, 7, 7)
     win = spa_outcome(bids)
     if (win.allocation.index(frozenset({0})), win.prices[win.allocation.index(frozenset({0}))]) != (1, 7):
-        failures.append(
-            Failure(
-                str(list(bids)),
-                "ties go to the lowest-index bidder at the second-highest bid",
-                f"allocation {win.allocation}, prices {win.prices}",
-            )
-        )
+        problems.append((
+            str(list(bids)),
+            "ties go to the lowest-index bidder at the second-highest bid",
+            f"allocation {win.allocation}, prices {win.prices}",
+        ))
     # Bit-probe instances: the probed bid vector admits a perfect matching
     # exactly when the probed matrix bit is 1.
     k = 2
@@ -396,19 +389,18 @@ def _auctions_fixed_checks() -> list[Failure]:
             v = gen_bit_probe_auction(params)
             weight = _assignment_value(v, max_weight_matching(v))
             if (weight == 2 * k) != bool(bits[pq[0]][pq[1]]):
-                failures.append(
-                    Failure(
-                        serialize_auction(v),
-                        f"perfect matching exists iff bit {pq} of {bits} is set",
-                        f"matching weight {weight}",
-                    )
-                )
-    return failures
+                problems.append((
+                    v,
+                    f"perfect matching exists iff bit {pq} of {bits} is set",
+                    f"matching weight {weight}",
+                ))
 
 
 def _auctions_trial(size: int, seed: int, t: int) -> list[Failure]:
     del size
-    failures = _auctions_fixed_checks() if t == 0 else []
+    problems = []
+    if t == 0:
+        _auctions_fixed_checks(problems)
     rng = random.Random(seed + t)
     nb = rng.randint(2, 4)
     m = rng.randint(1, 4)
@@ -416,7 +408,6 @@ def _auctions_trial(size: int, seed: int, t: int) -> list[Failure]:
     v = ValuationMatrix(
         tuple(tuple(rng.randint(0, bound) for _ in range(m)) for _ in range(nb)), bound
     )
-    problems = []
     # Additive VCG must decompose into one second-price auction per item.
     out = vcg_additive(v)
     alloc = [set() for _ in range(nb)]
@@ -429,6 +420,7 @@ def _auctions_trial(size: int, seed: int, t: int) -> list[Failure]:
         prices[winner] += one.prices[winner]
     if out.allocation != tuple(frozenset(s) for s in alloc) or out.prices != tuple(prices):
         problems.append((
+            v,
             f"additive VCG splits into per-item second-price auctions: "
             f"{tuple(sorted(s) for s in alloc)} at {tuple(prices)}",
             f"got {tuple(sorted(s) for s in out.allocation)} at {out.prices}",
@@ -439,6 +431,7 @@ def _auctions_trial(size: int, seed: int, t: int) -> list[Failure]:
         best = sum(max(0, v.values[i][j] - menu[j]) for j in range(m))
         if util != best:
             problems.append((
+                v,
                 f"bidder {i} attains the best additive-menu utility {best}",
                 f"outcome utility {util} with menu {menu}",
             ))
@@ -449,6 +442,7 @@ def _auctions_trial(size: int, seed: int, t: int) -> list[Failure]:
     brute = _brute_welfare(v)
     if weight != brute:
         problems.append((
+            v,
             f"maximum assignment value is {brute} by enumeration",
             f"assignment {assignment} of value {weight}",
         ))
@@ -461,6 +455,7 @@ def _auctions_trial(size: int, seed: int, t: int) -> list[Failure]:
         util = value - out_u.prices[i]
         if out_u.prices[i] < 0 or util != weight - w_rest:
             problems.append((
+                v,
                 f"bidder {i} pays her externality: utility {weight - w_rest}",
                 f"allocation {sorted(out_u.allocation[i])} at price {out_u.prices[i]}",
             ))
@@ -468,10 +463,11 @@ def _auctions_trial(size: int, seed: int, t: int) -> list[Failure]:
         best = max([0] + [v.values[i][j] - menu[j] for j in range(m)])
         if util != best:
             problems.append((
+                v,
                 f"bidder {i} attains the best unit-demand menu utility {best}",
                 f"outcome utility {util} with menu {menu}",
             ))
-    return failures + _failures(lambda: serialize_auction(v), problems)
+    return _failures(problems)
 
 
 def _voting_trial(size: int, seed: int, t: int) -> list[Failure]:
@@ -489,7 +485,7 @@ def _voting_trial(size: int, seed: int, t: int) -> list[Failure]:
     chosen = median_outcome(v)
     want = sorted(votes)[n_voters // 2]
     if chosen != want:
-        problems.append((f"median is {want}", f"computed {chosen}"))
+        problems.append((v, f"median is {want}", f"computed {chosen}"))
     for i in range(n_voters):
         lo, hi = median_menu(v, i)
         for own in range(1, candidates + 1):
@@ -498,16 +494,18 @@ def _voting_trial(size: int, seed: int, t: int) -> list[Failure]:
             via_menu = median_menu_select((lo, hi), own)
             if via_menu != direct:
                 problems.append((
+                    v,
                     f"voter {i} reporting {own} moves the median to {direct}",
                     f"menu ({lo}, {hi}) selects {via_menu}",
                 ))
             peak = votes[i]
             if abs(direct - peak) < abs(chosen - peak):
                 problems.append((
+                    v,
                     f"voter {i} with peak {peak} cannot beat the honest median {chosen}",
                     f"reporting {own} yields {direct}",
                 ))
-    return _failures(lambda: serialize_votes(v), problems)
+    return _failures(problems)
 
 
 _TRIALS = {

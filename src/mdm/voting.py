@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from mdm.market import InstanceError, load_json_object
+from mdm.market import InstanceError, _not_a_list, load_json_object
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,10 @@ class VoteProfile:
     votes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "votes", tuple(self.votes))
+        try:
+            object.__setattr__(self, "votes", tuple(self.votes))
+        except TypeError:
+            raise _not_a_list(self, ("votes",)) from None
         validate_votes(self)
 
     @property

@@ -375,3 +375,45 @@ def test_an_input_error_with_several_problems_is_one_stderr_line(budget_path, ca
         "error: top level: unknown field 'applicants'; top level: unknown field 'institutions'; "
         "top level: missing field 'C'\n"
     )
+
+
+def test_verify_failures_are_reported_in_both_formats(capsys, monkeypatch):
+    """One route forced wrong: exit 1, a stderr summary per suite, and each failure in full on stdout."""
+    import re
+
+    import mdm.verify
+    from mdm import SUITE_NAMES
+
+    monkeypatch.setenv("MDM_NO_PARALLEL", "1")  # the patch is in this process only
+    monkeypatch.setattr(mdm.verify, "median_menu", lambda v, i: (1, 1))
+    code, out, err = run(capsys, "verify", "--suite", "all", "--format", "json")
+    assert code == 1
+    summaries = err.splitlines()
+    assert [line.split(":")[0] for line in summaries] == list(SUITE_NAMES)
+    docs = json.loads(out)
+    assert [(d["suite"], d["ok"]) for d in docs] == [(s, s != "voting") for s in SUITE_NAMES]
+    failures = docs[SUITE_NAMES.index("voting")]["failures"]
+    assert failures
+    for f in failures:
+        assert set(f) == {"instance", "expectation", "observed"}
+        assert json.loads(f["instance"])["C"] == 5
+        assert f["observed"].startswith("menu (1, 1) selects ") or f["observed"].startswith("reporting ")
+
+    code, text, err_text = run(capsys, "verify", "--suite", "all", "--format", "text")
+    assert code == 1
+    timeless = re.compile(r"\(\d+\.\d+s, ")
+    assert timeless.sub("", err_text) == timeless.sub("", err)
+    lines = text.splitlines()
+    assert timeless.sub("", "\n".join(line for line in lines if not line.startswith("  "))) == timeless.sub(
+        "", "\n".join(summaries)
+    )
+    at = next(k for k, line in enumerate(lines) if line.startswith("voting:"))
+    assert lines[at + 1:] == [
+        line
+        for f in failures
+        for line in (
+            f"  expected: {f['expectation']}",
+            f"  observed: {f['observed']}",
+            "  instance: " + " ".join(f["instance"].split()),
+        )
+    ]

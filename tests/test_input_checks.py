@@ -125,3 +125,21 @@ def test_random_markets_are_checked_and_valid(truncation_prob, seed):
         assert p._checked
         assert market._profile_problems(p) == []
         assert p == Profile(p.applicant_names, p.institution_names, p.applicant_prefs, p.institution_prios)
+
+
+@pytest.mark.parametrize(
+    ("build", "text"),
+    [
+        (lambda: Profile(("a",), ("x",), (None,), ((0,),)), "applicant_prefs[0]: expected a list, got None"),
+        (lambda: Profile(("a",), ("x",), ((0,),), [(0,), 7]), "institution_prios[1]: expected a list, got 7"),
+        (lambda: Profile(("a",), ("x",), ((0,),), ((0,),), 1), "capacities: expected a list, got 1"),
+        (lambda: ValuationMatrix(None, 3), "values: expected a list, got None"),
+        (lambda: ValuationMatrix(((1,), 5), 3), "values[1]: expected a list, got 5"),
+        (lambda: VoteProfile(3, 5), "votes: expected a list, got 5"),
+    ],
+    ids=["profile-row", "profile-late-row", "profile-capacities", "matrix", "matrix-row", "votes"],
+)
+def test_a_field_that_is_not_a_list_is_an_instance_error_naming_it(build, text):
+    with pytest.raises(InstanceError) as err:
+        build()
+    assert str(err.value) == text

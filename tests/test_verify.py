@@ -8,7 +8,7 @@ import pytest
 import mdm.verify as verify
 from mdm.auctions import serialize_auction
 from mdm.generators import gen_random_market
-from mdm.market import serialize_instance
+from mdm.market import Matching, serialize_instance
 from mdm.voting import serialize_votes
 
 
@@ -42,6 +42,59 @@ def test_failure_instance_is_the_trials_instance(trial, args, route, wrong, expe
     failures = trial(*args)
     assert failures
     assert {f.instance for f in failures} == {expected(calls)}
+
+
+_NOBODY_WANTS = Matching(frozenset({(99, 99)}))  # equals no matching a trial computes
+
+
+def _force_rural_fill(monkeypatch, p, i):
+    """The capacity variant's institution-proposing fill reads empty; expect `wide`, the profile expanded."""
+    expand, collapse = verify.expand_many_to_one, verify.collapse_matching
+    wide, folds = [], []
+
+    def expanding(q):
+        wide.append(q)
+        return expand(q)
+
+    def collapsing(mu, copy_map):
+        folds.append(mu)
+        return collapse(mu, copy_map) if len(folds) == 1 else Matching(frozenset())
+
+    monkeypatch.setattr(verify, "expand_many_to_one", expanding)
+    monkeypatch.setattr(verify, "collapse_matching", collapsing)
+    return lambda: {serialize_instance(wide[0])}
+
+
+def _force_rotations(monkeypatch, p, i):
+    monkeypatch.setattr(verify, "receiver_optimal", lambda q, side: _NOBODY_WANTS)
+    return lambda: {serialize_instance(p)}
+
+
+def _force_plan_completion(monkeypatch, p, i):
+    """Every completion is wrong; each failure names the profile with that completion's list."""
+    reps = []
+    monkeypatch.setattr(verify, "complete_from_plan", lambda plan, rep: reps.append(rep) or _NOBODY_WANTS)
+    return lambda: {serialize_instance(p.with_prefs(i, rep)) for rep in reps}
+
+
+@pytest.mark.parametrize(
+    ("trial", "force", "about"),
+    [
+        (verify._rural_trial, _force_rural_fill, "per-institution fill"),
+        (verify._rotations_trial, _force_rotations, "equals the receiver-optimal stable matching"),
+        (verify._plan_trial, _force_plan_completion, "completing the plan of applicant 4"),
+    ],
+    ids=["rural-capacities", "rotations", "plan-completion"],
+)
+def test_failures_of_each_check_carry_that_checks_instance(trial, force, about, monkeypatch):
+    """The routes the test above does not reach, forced wrong: each failure holds its check's own instance."""
+    size, seed, t = 6, 0, 4
+    p = gen_random_market(size, seed + t, truncation_prob=0.3)
+    expected = force(monkeypatch, p, t % size)
+    failures = trial(size, seed, t)
+    assert failures
+    assert all(about in f.expectation for f in failures)
+    assert {f.instance for f in failures} == expected()
 
 
 def _tagged(name, real, picked):
