@@ -43,7 +43,7 @@ class ValuationMatrix:
         try:
             object.__setattr__(self, "values", tuple(tuple(row) for row in self.values))
         except TypeError:
-            raise _not_a_list(self, ("values",), ("values",)) from None
+            raise _not_a_list({"values": self.values}, ("values",)) from None
         validate_matrix(self)
 
     @property

@@ -9,7 +9,9 @@ family), gen (write instance files with a parameter sidecar).
 Output is JSON on standard output unless --format text is given; describe
 defaults to text.  Exit codes: 0 success, 1 verification failure, 2 usage
 or input error, 3 internal error (any other exception).  Exits 2 and 3
-write one stderr line.
+write one stderr line.  A fresh process imports only what its command runs:
+no matching command loads dataclasses, traceback (exit 3 only) or mdm.auctions,
+whose names this module's __getattr__ loads on first use.
 """
 
 from __future__ import annotations
@@ -17,19 +19,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 from pathlib import Path
 from typing import Iterable, NoReturn
 
 from mdm import MECHANISM_TAGS, SUITE_NAMES
-from mdm.auctions import (
-    AuctionOutcome,
-    parse_auction,
-    serialize_auction,
-    spa_outcome,
-    vcg_additive,
-    vcg_unit_demand,
-)
 from mdm.market import (
     InstanceError,
     Matching,
@@ -64,6 +57,20 @@ _FAMILIES = (
     "empty-menu",
     "budget-set",
 )
+
+
+# Names of mdm.auctions that __getattr__ loads on first use. The auction branches look them
+# up through _this, the module object, so that a name bound here (a test's patch) wins.
+_AUCTIONS = ("AuctionOutcome", "parse_auction", "serialize_auction", "spa_outcome", "vcg_additive", "vcg_unit_demand")
+_this = sys.modules[__name__]
+
+
+def __getattr__(name: str) -> object:
+    if name not in _AUCTIONS:  # tested first: `from mdm.cli import main` probes __path__
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from mdm import auctions
+
+    return getattr(auctions, name)
 
 
 def _json(payload: object) -> str:
@@ -159,15 +166,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
         _emit(payload, args.format, _matching_text(payload))
         return 0
     if mech in _AUCTION_MECHANISMS:
-        v = parse_auction(raw)
+        v = _this.parse_auction(raw)
         if mech == "spa":
             if v.n_items != 1:
                 raise InstanceError("a second-price auction instance needs exactly one item per bidder row")
-            out = spa_outcome(tuple(row[0] for row in v.values))
+            out = _this.spa_outcome(tuple(row[0] for row in v.values))
         elif mech == "vcg-additive":
-            out = vcg_additive(v)
+            out = _this.vcg_additive(v)
         else:
-            out = vcg_unit_demand(v)
+            out = _this.vcg_unit_demand(v)
         payload = {"mechanism": mech, **_auction_payload(out)}
         _emit(payload, args.format, _auction_text(payload))
         return 0
@@ -347,7 +354,7 @@ def _gen_instance(args: argparse.Namespace) -> tuple[str, dict[str, object]]:
             "bits": [list(r) for r in bits],
             "probe": list(pq),
         }
-        return serialize_auction(gen_bit_probe_auction(params)), meta
+        return _this.serialize_auction(gen_bit_probe_auction(params)), meta
     if family in ("nonlocal-menu", "nonlocal-outcome"):
         fixture = fixture_nonlocal_menu if family == "nonlocal-menu" else fixture_nonlocal_outcome
         base, alt = fixture()
@@ -456,6 +463,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: {'; '.join(str(exc).splitlines())}\n")
         return 2
     except Exception as exc:  # a fault in mdm itself, not in the input
+        import traceback
+
         where = traceback.extract_tb(exc.__traceback__)[-1]
         sys.stderr.write(
             f"error: internal error ({type(exc).__name__} at {Path(where.filename).name}:{where.lineno}): "

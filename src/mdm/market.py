@@ -11,7 +11,7 @@ return checked profiles, and _list_problems is the one rule for every ranked lis
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 APPLICANT = "applicant"
@@ -25,15 +25,14 @@ class InstanceError(ValueError):
     """An instance file, Profile, or Matching violates the data contract."""
 
 
-def _not_a_list(obj: object, names: tuple[str, ...], nested: tuple[str, ...] = ()) -> InstanceError:
-    """The error for a constructor whose field, or a row of a nested field, is not iterable; names the first."""
-    for name in names:
-        value = getattr(obj, name)
+def _not_a_list(fields: dict[str, object], nested: tuple[str, ...] = ()) -> InstanceError:
+    """The error for constructor fields of which one, or a row of a nested one, is not iterable; names the first."""
+    for name, value in fields.items():
         rows = enumerate(value) if name in nested and isinstance(value, (list, tuple)) else ()
         for where, x in [(name, value), *((f"{name}[{k}]", row) for k, row in rows)]:
             if not hasattr(x, "__iter__"):
                 return InstanceError(f"{where}: expected a list, got {x!r}")
-    return InstanceError(f"{', '.join(names)}: expected lists")  # a failing iterator is spent, so its row is lost
+    return InstanceError(f"{', '.join(fields)}: expected lists")  # a failing iterator is spent, so its row is lost
 
 
 RankTable = tuple[dict[int, int], ...]
@@ -68,8 +67,39 @@ class BlockingPair(NamedTuple):
     institution: int
 
 
-@dataclass(frozen=True)
-class Profile:
+class FrozenInstanceError(AttributeError):
+    """Raised on assigning to or deleting an attribute of a _Frozen record, as dataclasses' error of this name is."""
+
+
+class _Frozen:
+    """Eq, hash and a repr (less the fields in _hidden) over the fields in __match_args__, and no assignment or
+    deletion: @dataclass(frozen=True) without the import and class building that every fresh `mdm` would pay."""
+
+    __match_args__: tuple[str, ...] = ()
+    _hidden: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:  # _values: the field values as a tuple, read in C
+        get = attrgetter(*cls.__match_args__)
+        cls._values = property(get if len(cls.__match_args__) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other: object) -> bool:
+        return self._values == other._values if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        shown = (f"{f}={v!r}" for f, v in zip(self.__match_args__, self._values) if f not in self._hidden)
+        return f"{self.__class__.__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Profile(_Frozen):
     """Applicants' preference lists plus institutions' priority lists.
 
     Immutable after construction; index lookups and a pass of validate_profile
@@ -78,29 +108,21 @@ class Profile:
     and share the rank tables that did not change.
     """
 
-    applicant_names: tuple[str, ...]
-    institution_names: tuple[str, ...]
-    applicant_prefs: tuple[tuple[int, ...], ...]
-    institution_prios: tuple[tuple[int, ...], ...]
-    capacities: tuple[int, ...] = ()
-
+    __match_args__ = ("applicant_names", "institution_names", "applicant_prefs", "institution_prios", "capacities")
     _checked = False  # set on the instance by a pass of validate_profile
 
-    def __post_init__(self) -> None:
+    def __init__(self, applicant_names: tuple[str, ...], institution_names: tuple[str, ...],
+                 applicant_prefs: tuple[tuple[int, ...], ...], institution_prios: tuple[tuple[int, ...], ...],
+                 capacities: tuple[int, ...] = ()) -> None:
         try:
-            object.__setattr__(self, "applicant_names", tuple(self.applicant_names))
-            object.__setattr__(self, "institution_names", tuple(self.institution_names))
-            object.__setattr__(
-                self, "applicant_prefs", tuple(tuple(l) for l in self.applicant_prefs)
-            )
-            object.__setattr__(
-                self, "institution_prios", tuple(tuple(l) for l in self.institution_prios)
-            )
-            caps = tuple(self.capacities) or (1,) * len(self.institution_names)
+            names_h = tuple(institution_names)
+            vars(self).update(applicant_names=tuple(applicant_names), institution_names=names_h,
+                              applicant_prefs=tuple(tuple(l) for l in applicant_prefs),
+                              institution_prios=tuple(tuple(l) for l in institution_prios),
+                              capacities=tuple(capacities) or (1,) * len(names_h))
         except TypeError:
-            nested = ("applicant_prefs", "institution_prios")
-            raise _not_a_list(self, ("applicant_names", "institution_names", *nested, "capacities"), nested) from None
-        object.__setattr__(self, "capacities", caps)
+            raw = applicant_names, institution_names, applicant_prefs, institution_prios, capacities
+            raise _not_a_list(dict(zip(self.__match_args__, raw)), ("applicant_prefs", "institution_prios")) from None
 
     @classmethod
     def _derive(
@@ -122,7 +144,7 @@ class Profile:
         return q
 
     def __reduce__(self):  # pickle the fields only, not the pass or the rank sources
-        return Profile, tuple(getattr(self, f.name) for f in fields(self))
+        return Profile, self._values
 
     @property
     def n_applicants(self) -> int:
@@ -190,14 +212,13 @@ class Profile:
         )
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(_Frozen):
     """A partial assignment stored as (applicant index, institution index) pairs."""
 
-    pairs: frozenset[tuple[int, int]]
+    __match_args__ = ("pairs",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", frozenset(self.pairs))
+    def __init__(self, pairs: Iterable[tuple[int, int]]) -> None:
+        vars(self)["pairs"] = frozenset(pairs)
 
     @classmethod
     def of(cls, assignment: Mapping[int, int]) -> Matching:
@@ -380,7 +401,7 @@ def _check_name(name: object, path: str, problems: list[str]) -> None:
         problems.append(f"{path}: name {name!r} uses the reserved marker {RESERVED_MARKER!r}")
 
 
-def _check_records(records: object, path: str, list_key: str, problems: list[str]) -> list[dict]:
+def _check_records(records: object, path: str, list_key: str, problems: list[str], typed: bool) -> list[dict]:
     if not isinstance(records, list):
         problems.append(f"{path}: expected a list")
         return []
@@ -398,7 +419,7 @@ def _check_records(records: object, path: str, list_key: str, problems: list[str
             continue
         _check_name(rec.get("name"), where, problems)
         ranked = rec.get(list_key, [])
-        if not isinstance(ranked, list) or not set(map(type, ranked)) <= {str}:  # JSON holds no str subclass
+        if not isinstance(ranked, list) or typed and not set(map(type, ranked)) <= {str}:  # JSON holds no str subclass
             problems.append(f"{where}.{list_key}: expected a list of names")
             continue
         out.append(rec)
@@ -413,11 +434,20 @@ def parse_instance(raw: bytes | str) -> Profile:
     of the offending entry.
     """
     doc = load_json_object(raw)
+    # A good document passes without the type test of each list entry: resolve misses a non-string entry (or
+    # raises TypeError on a list or object), and any problem reruns every check, so each message keeps its place.
+    try:
+        return _parse_document(doc, typed=False)
+    except (InstanceError, TypeError):
+        return _parse_document(doc, typed=True)
+
+
+def _parse_document(doc: dict, typed: bool) -> Profile:
     problems: list[str] = []
     for key in sorted(set(doc) - {"applicants", "institutions"}):
         problems.append(f"top level: unknown field {key!r}")
-    applicants = _check_records(doc.get("applicants", []), "applicants", "prefs", problems)
-    institutions = _check_records(doc.get("institutions", []), "institutions", "prios", problems)
+    applicants = _check_records(doc.get("applicants", []), "applicants", "prefs", problems, typed)
+    institutions = _check_records(doc.get("institutions", []), "institutions", "prios", problems, typed)
     if problems:
         raise InstanceError("\n".join(problems))
 

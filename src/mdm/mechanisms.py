@@ -13,7 +13,6 @@ import bisect
 import heapq
 import random
 from collections import deque
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
@@ -23,6 +22,7 @@ from mdm.market import (
     InstanceError,
     Matching,
     Profile,
+    _Frozen,
     _require_unit,
     validate_profile,
 )
@@ -31,8 +31,7 @@ PROPOSAL_KINDS = ("by-index", "fifo", "lifo", "seeded-random")
 CYCLE_KINDS = ("lowest-index-applicant-first", "all-simultaneous", "seeded-random")
 
 
-@dataclass(frozen=True)
-class ProposalPolicy:
+class ProposalPolicy(_Frozen):
     """Which free agent deferred acceptance picks next.
 
     The picked agent proposes down its list until some receiver holds it or
@@ -42,28 +41,26 @@ class ProposalPolicy:
     rejection would.
     """
 
-    kind: str = "by-index"
-    seed: int = 0
+    __match_args__ = ("kind", "seed")
 
-    def __post_init__(self) -> None:
-        if self.kind not in PROPOSAL_KINDS:
-            raise InstanceError(f"unknown proposal policy {self.kind!r}")
+    def __init__(self, kind: str = "by-index", seed: int = 0) -> None:
+        vars(self).update(kind=kind, seed=seed)
+        if kind not in PROPOSAL_KINDS:
+            raise InstanceError(f"unknown proposal policy {kind!r}")
 
 
-@dataclass(frozen=True)
-class CyclePolicy:
+class CyclePolicy(_Frozen):
     """Which pointing cycles are executed in each round of top trading cycles."""
 
-    kind: str = "lowest-index-applicant-first"
-    seed: int = 0
+    __match_args__ = ("kind", "seed")
 
-    def __post_init__(self) -> None:
-        if self.kind not in CYCLE_KINDS:
-            raise InstanceError(f"unknown cycle policy {self.kind!r}")
+    def __init__(self, kind: str = "lowest-index-applicant-first", seed: int = 0) -> None:
+        vars(self).update(kind=kind, seed=seed)
+        if kind not in CYCLE_KINDS:
+            raise InstanceError(f"unknown cycle policy {kind!r}")
 
 
-@dataclass
-class QueryLog:
+class QueryLog(_Frozen):
     """Optional instrumentation recording every list access, in order.
 
     Two event shapes:
@@ -74,7 +71,12 @@ class QueryLog:
     Mechanisms accept ``log=None`` and skip all recording in that case.
     """
 
-    events: list[tuple] = field(default_factory=list)
+    __match_args__ = ("events",)
+    __hash__ = None  # mutable, as a dataclass that is not frozen
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+
+    def __init__(self, events: list[tuple] | None = None) -> None:
+        self.events = [] if events is None else events
 
     def read(self, side: str, owner: int, rank: int, subject: int) -> None:
         self.events.append(("read", side, owner, rank, subject))

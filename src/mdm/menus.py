@@ -31,7 +31,6 @@ there, its pointer one past her, until the drain moves it on.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from mdm import MECHANISM_TAGS
@@ -42,6 +41,7 @@ from mdm.market import (
     Matching,
     Profile,
     _check_applicant,
+    _Frozen,
     _list_problems,
     _require_unit,
     validate_profile,
@@ -439,8 +439,7 @@ class UnrollDag:
                     self._fail(f"frontier node {node} has an out-edge")
 
 
-@dataclass(frozen=True)
-class MenuPlan:
+class MenuPlan(_Frozen):
     """Phase-one output: a menu plus everything needed to finish the matching.
 
     market is the input profile with the applicant's list cleared, tentative
@@ -450,13 +449,13 @@ class MenuPlan:
     read-only; complete_from_plan copies what it mutates.
     """
 
-    applicant: int
-    market: Profile
-    menu: Menu
-    tentative: Matching
-    dag: UnrollDag = field(repr=False)
-    terminal: frozenset[int]
-    pointers: tuple[int, ...] = field(repr=False)
+    __match_args__ = ("applicant", "market", "menu", "tentative", "dag", "terminal", "pointers")
+    _hidden = ("dag", "pointers")
+
+    def __init__(self, applicant: int, market: Profile, menu: Menu, tentative: Matching, dag: UnrollDag,
+                 terminal: frozenset[int], pointers: tuple[int, ...]) -> None:
+        vars(self).update(applicant=applicant, market=market, menu=menu, tentative=tentative, dag=dag,
+                          terminal=terminal, pointers=pointers)
 
 
 def _hold_run(q: Profile, i: int, log: QueryLog | None) -> tuple[dict[int, int], list[int], list[int]]:

@@ -28,7 +28,7 @@ class VoteProfile:
         try:
             object.__setattr__(self, "votes", tuple(self.votes))
         except TypeError:
-            raise _not_a_list(self, ("votes",)) from None
+            raise _not_a_list({"votes": self.votes}) from None
         validate_votes(self)
 
     @property

@@ -12,6 +12,7 @@ import json
 import random
 import statistics
 from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field
 
 from mdm.descriptions import (
     END_OF_LIST,
@@ -670,3 +671,73 @@ def serialize_instance_reference(p: Profile) -> str:
         institutions.append(rec)
     doc = {"applicants": applicants, "institutions": institutions}
     return json.dumps(doc, indent=2) + "\n"
+
+
+# The dataclasses that Profile, Matching, ProposalPolicy, CyclePolicy, QueryLog
+# and MenuPlan were, field for field: the reference for their construction,
+# repr, equality, hash and frozenness. Each twin takes its class's qualname, so
+# that a dataclass repr names the class it stands for.
+
+
+@dataclass(frozen=True)
+class ProfileTwin:
+    __qualname__ = "Profile"
+
+    applicant_names: tuple[str, ...]
+    institution_names: tuple[str, ...]
+    applicant_prefs: tuple[tuple[int, ...], ...]
+    institution_prios: tuple[tuple[int, ...], ...]
+    capacities: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "applicant_names", tuple(self.applicant_names))
+        object.__setattr__(self, "institution_names", tuple(self.institution_names))
+        object.__setattr__(self, "applicant_prefs", tuple(tuple(l) for l in self.applicant_prefs))
+        object.__setattr__(self, "institution_prios", tuple(tuple(l) for l in self.institution_prios))
+        object.__setattr__(self, "capacities", tuple(self.capacities) or (1,) * len(self.institution_names))
+
+
+@dataclass(frozen=True)
+class MatchingTwin:
+    __qualname__ = "Matching"
+
+    pairs: frozenset[tuple[int, int]]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pairs", frozenset(self.pairs))
+
+
+@dataclass(frozen=True)
+class ProposalPolicyTwin:
+    __qualname__ = "ProposalPolicy"
+
+    kind: str = "by-index"
+    seed: int = 0
+
+
+@dataclass(frozen=True)
+class CyclePolicyTwin:
+    __qualname__ = "CyclePolicy"
+
+    kind: str = "lowest-index-applicant-first"
+    seed: int = 0
+
+
+@dataclass
+class QueryLogTwin:
+    __qualname__ = "QueryLog"
+
+    events: list[tuple] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class MenuPlanTwin:
+    __qualname__ = "MenuPlan"
+
+    applicant: int
+    market: object
+    menu: frozenset[int]
+    tentative: object
+    dag: object = field(repr=False)
+    terminal: frozenset[int]
+    pointers: tuple[int, ...] = field(repr=False)
