@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
 from mdm.auctions import ValuationMatrix
 from mdm.market import InstanceError, Profile

@@ -305,9 +305,13 @@ def validate_profile(p: Profile) -> None:
     vars(p)["_checked"] = True
 
 
-def _check_applicant(p: Profile, i: int) -> None:
-    if not 0 <= i < p.n_applicants:
-        raise InstanceError(f"applicant index {i} out of range for {p.n_applicants} applicants")
+def _check_entry(p: Profile, applicant: int | None = None, unit: bool = False) -> None:
+    """Every engine's entry check, in the order it reports: the profile, the applicant index, unit capacity."""
+    validate_profile(p)
+    if applicant is not None and not 0 <= applicant < p.n_applicants:
+        raise InstanceError(f"applicant index {applicant} out of range for {p.n_applicants} applicants")
+    if unit:
+        _require_unit(p)
 
 
 def _require_unit(p: Profile) -> None:

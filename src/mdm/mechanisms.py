@@ -22,6 +22,7 @@ from mdm.market import (
     InstanceError,
     Matching,
     Profile,
+    _check_entry,
     _Frozen,
     _require_unit,
     validate_profile,
@@ -135,8 +136,7 @@ def serial_dictatorship(p: Profile, order: Sequence[int]) -> Matching:
     Only applicant lists are read; priorities play no role. An applicant whose
     listed institutions are all claimed stays unmatched.
     """
-    validate_profile(p)
-    _require_unit(p)
+    _check_entry(p, unit=True)
     if sorted(order) != list(range(p.n_applicants)):
         raise InstanceError("order must be a permutation of all applicant indices")
     taken: set[int] = set()
@@ -248,8 +248,7 @@ def _ttc_rounds(
 
 def ttc(p: Profile, policy: CyclePolicy = CyclePolicy()) -> Matching:
     """Top trading cycles. The outcome is the same for every cycle policy."""
-    validate_profile(p)
-    _require_unit(p)
+    _check_entry(p, unit=True)
     return Matching.of(_ttc_rounds(p, policy)[0])
 
 
@@ -257,8 +256,7 @@ def apda(
     p: Profile, policy: ProposalPolicy = ProposalPolicy(), log: QueryLog | None = None
 ) -> Matching:
     """Applicant-proposing deferred acceptance: the applicant-optimal stable matching."""
-    validate_profile(p)
-    _require_unit(p)
+    _check_entry(p, unit=True)
     prefs = p.applicant_prefs
     rank = p.institution_rank
     n, m = p.n_applicants, p.n_institutions

@@ -40,11 +40,9 @@ from mdm.market import (
     InstanceError,
     Matching,
     Profile,
-    _check_applicant,
+    _check_entry,
     _Frozen,
     _list_problems,
-    _require_unit,
-    validate_profile,
 )
 from mdm.mechanisms import (
     CyclePolicy,
@@ -92,8 +90,7 @@ def menu_oracle_singleton(mech: str, i: int, p: Profile, order: Sequence[int] | 
     mechanism here matches i only to an institution she lists, so the report
     (h,) yields h or nothing.
     """
-    validate_profile(p)
-    _check_applicant(p, i)
+    _check_entry(p, i)
     return _probe(mech, i, p, order, ((h,) for h in range(p.n_institutions)))
 
 
@@ -103,15 +100,18 @@ def menu_oracle_exhaustive(mech: str, i: int, p: Profile, order: Sequence[int] |
     Ground truth for all other engines in this module. Capped at
     5 institutions (326 reports); raises beyond that.
     """
-    validate_profile(p)
-    _check_applicant(p, i)
+    _check_entry(p, i)
     m = p.n_institutions
     if m > _EXHAUSTIVE_CAP:
         raise InstanceError(
             f"exhaustive menu enumeration supports at most {_EXHAUSTIVE_CAP} institutions, got {m}"
         )
-    reports = itertools.chain.from_iterable(itertools.permutations(range(m), r) for r in range(m + 1))
-    return _probe(mech, i, p, order, reports)
+    return _probe(mech, i, p, order, all_lists(m))
+
+
+def all_lists(m: int) -> list[tuple[int, ...]]:
+    """Every strict partial list over m institutions, the empty one first: the report space of one applicant."""
+    return [report for r in range(m + 1) for report in itertools.permutations(range(m), r)]
 
 
 def menu_da_many_to_one(i: int, p: Profile) -> Menu:
@@ -121,8 +121,7 @@ def menu_da_many_to_one(i: int, p: Profile) -> Menu:
     on its unit-capacity expansion, and read the menu off its occupants
     (menu_from_matching).
     """
-    validate_profile(p)
-    _check_applicant(p, i)
+    _check_entry(p, i)
     expanded, copy_map = expand_many_to_one(p.with_prefs(i, ()))
     return menu_from_matching(i, p, collapse_matching(ipda(expanded), copy_map))
 
@@ -150,9 +149,7 @@ def menu_from_matching(i: int, p: Profile, without: Matching) -> Menu:
 
 def menu_da(i: int, p: Profile) -> Menu:
     """menu_da_many_to_one restricted to unit capacities."""
-    validate_profile(p)
-    _check_applicant(p, i)
-    _require_unit(p)
+    _check_entry(p, i, unit=True)
     return menu_da_many_to_one(i, p)
 
 
@@ -166,9 +163,7 @@ def menu_ttc(i: int, p: Profile, check_invariance: bool = False) -> Menu:
     constraints. With check_invariance the surviving set is recomputed under
     a different cycle order and must agree.
     """
-    validate_profile(p)
-    _check_applicant(p, i)
-    _require_unit(p)
+    _check_entry(p, i, unit=True)
     survivors = _ttc_rounds(p, CyclePolicy(), absent=i)[1]
     if check_invariance:
         alt = _ttc_rounds(p, CyclePolicy("all-simultaneous"), absent=i)[1]
@@ -181,8 +176,7 @@ def menu_ttc(i: int, p: Profile, check_invariance: bool = False) -> Menu:
 
 def menu_sd(i: int, p: Profile, order: Sequence[int]) -> Menu:
     """Menu of applicant i under serial dictatorship: whatever her predecessors leave."""
-    validate_profile(p)
-    _check_applicant(p, i)
+    _check_entry(p, i)
     order = tuple(order)
     picks = serial_dictatorship(p.with_prefs(i, ()), order).by_applicant
     return frozenset(range(p.n_institutions)) - {picks[d] for d in order[: order.index(i)] if d in picks}
@@ -201,9 +195,7 @@ def build_augmented_profile(i: int, p: Profile) -> Profile:
     d_try_j; i keeps her index with an empty list. The construction makes
     d_try_j win h_try_j exactly when h_j would have proposed to i.
     """
-    validate_profile(p)
-    _check_applicant(p, i)
-    _require_unit(p)
+    _check_entry(p, i, unit=True)
     n, m = p.n_applicants, p.n_institutions
     names_d = list(p.applicant_names)
     names_h = list(p.institution_names)
@@ -478,7 +470,7 @@ def _next_interested(
     h: int,
     log: QueryLog | None,
 ) -> int | None:
-    """Advance h down its priority list to the next applicant who wants it.
+    """Advance h down its priority list to the next applicant who wants it, or to i's slot.
 
     An applicant already holding a dag node compares h against that node's
     fallback institution, not against her tentative match: if the chain
@@ -486,22 +478,23 @@ def _next_interested(
     """
     prios = q.institution_prios[h]
     rank = q.applicant_rank
-    while nxt[h] < len(prios):
-        d = prios[nxt[h]]
+    for k in range(nxt[h], len(prios)):
+        d = prios[k]
         if log is not None:
-            log.read(INSTITUTION, h, nxt[h], d)
-        nxt[h] += 1
-        if d == i:
-            return i
-        node = dag.node_of.get(d)
-        reservation = node[1] if node is not None else mu.get(d)
-        if log is not None:
-            log.lookup(APPLICANT, d, h)
+            log.read(INSTITUTION, h, k, d)
+            if d != i:  # i's rank lookup is not logged
+                log.lookup(APPLICANT, d, h)
         r = rank[d].get(h)
-        if r is None:
-            continue
-        if reservation is None or r < rank[d][reservation]:
-            return d
+        if r is not None:
+            node = dag.node_of.get(d)
+            reservation = node[1] if node is not None else mu.get(d)
+            if reservation is None or r < rank[d][reservation]:
+                nxt[h] = k + 1
+                return d
+        elif d == i:
+            nxt[h] = k + 1
+            return i
+    nxt[h] = len(prios)
     return None
 
 
@@ -516,9 +509,7 @@ def menu_da_plan(i: int, p: Profile, log: QueryLog | None = None) -> MenuPlan:
     choice routes elsewhere. Every institution that reaches i's slot joins
     the menu. The resulting menu equals menu_da(i, p).
     """
-    validate_profile(p)
-    _check_applicant(p, i)
-    _require_unit(p)
+    _check_entry(p, i, unit=True)
     q = p.with_prefs(i, ())
     mu, nxt, captured = _hold_run(q, i, log)
     menu: set[int] = set(captured)
@@ -537,14 +528,6 @@ def menu_da_plan(i: int, p: Profile, log: QueryLog | None = None) -> MenuPlan:
             elif d == i:
                 menu.add(h)
                 frontier.add(dag.add_source(h))
-            elif d not in dag.node_of:
-                fallback = mu.get(d)
-                node = dag.add_node(d, fallback)
-                for u in frontier:
-                    dag.add_edge(u, node)
-                frontier = {node}
-                dag.move(mu, d, h)
-                h = fallback
             else:
                 h = _collide(q, mu, dag, frontier, d, h)
             dag.check(mu, frontier if h is not None else None, h, menu)
@@ -571,13 +554,15 @@ def _collide(
     d: int,
     h: int,
 ) -> int:
-    """Proposal reached an applicant who already has a dag node.
+    """Applicant d, who prefers h to her reservation, accepts h; returns the next proposer.
 
-    Her old node and the chain hanging from it by sole predecession are
-    certain rejections now (two independent triggers exist), so they are
-    dropped and replaced by a single node with a raised fallback: the worse
-    of her tentative match and the new offer. If she keeps her tentative
-    match, h keeps proposing; if she moves to h, her old match does.
+    Her old node, if she has one, and the chain hanging from it by sole
+    predecession are certain rejections now (two independent triggers
+    exist), so they are dropped and replaced by a single node with a raised
+    fallback: the worse of her tentative match and the new offer, which for
+    one without a node is her match (or unmatched), as the scan found she
+    prefers h. If she keeps her match, h keeps proposing; if she moves to
+    h, her old match does.
 
     The dropped chain may swallow frontier nodes; those are pruned before
     new edges are drawn from the frontier. When the whole frontier is
@@ -585,15 +570,16 @@ def _collide(
     dropped node, so she keeps the better match under every pick and gets
     no replacement node at all.
     """
-    p1 = dag.node_of[d]
+    p1 = dag.node_of.get(d)
     preds1 = set(dag.preds.get(p1, ()))
-    removed = dag.unique_pred_chain(p1)
-    dag.remove_chain(removed)
-    frontier.difference_update(removed)
-    cur = mu[d]
+    if p1 is not None:
+        removed = dag.unique_pred_chain(p1)
+        dag.remove_chain(removed)
+        frontier.difference_update(removed)
+    cur = mu.get(d)
     if cur == h:
         raise AssertionError(f"institution {h} proposed to its own match {d}")
-    if q.applicant_rank[d][cur] < q.applicant_rank[d][h]:
+    if p1 is not None and q.applicant_rank[d][cur] < q.applicant_rank[d][h]:
         node = dag.add_node(d, h)
         for u in preds1:
             dag.add_edge(u, node)
@@ -626,7 +612,7 @@ def complete_from_plan(plan: MenuPlan, prefs: Sequence[int], log: QueryLog | Non
     full = q.with_prefs(i, prefs)
     mu = dict(plan.tentative.by_applicant)
     nxt = list(plan.pointers)
-    d_term = set(plan.terminal) | {i}
+    d_term = {i}  # resume_receiver_optimal makes every unmatched applicant terminal itself
     pick = next((h for h in prefs if h in plan.menu), None)
     if pick is not None:
         for d, h in plan.dag.chain_from((i, pick)):

@@ -52,6 +52,7 @@ from mdm.mechanisms import (
     ttc,
 )
 from mdm.menus import (
+    all_lists,
     complete_from_plan,
     menu_da,
     menu_da_applicant_proposing,
@@ -217,14 +218,6 @@ _SP_PRIOS = ((0, 1, 2, 3), (1, 3, 0, 2), (2, 0, 3, 1), (3, 2, 1, 0))
 _SP_PREFS = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 0, 1))
 
 
-def _all_lists(m: int) -> list[tuple[int, ...]]:
-    return [
-        perm
-        for r in range(m + 1)
-        for perm in itertools.permutations(range(m), r)
-    ]
-
-
 def _sp_base_market() -> Profile:
     names_d = tuple(f"d{i}" for i in range(4))
     names_h = tuple(f"h{j}" for j in range(4))
@@ -266,7 +259,7 @@ def _strategyproofness_trial(size: int, seed: int, t: int) -> list[Failure]:
 
 def _strategyproofness_exhaustive_trial(size: int, seed: int, t: int) -> list[Failure]:
     del size, seed  # the sweep is fully pinned
-    lists = _all_lists(4)
+    lists = all_lists(4)
     i, true = divmod(t, len(lists))
     return _check_deviations(_sp_base_market(), i, lists[true], lists)
 
@@ -576,7 +569,7 @@ def _job(suite: str, trials: int | str | None, size: int | None, seed: int) -> _
         if suite != "strategyproofness":
             raise InstanceError("only the strategyproofness suite has an exhaustive mode")
         name = "strategyproofness-exhaustive"
-        n_trials = 4 * len(_all_lists(4))
+        n_trials = 4 * len(all_lists(4))
     elif trials is None:
         n_trials = default_trials
     elif isinstance(trials, int):

@@ -35,6 +35,8 @@ from mdm.market import (
     load_json_object,
     validate_profile,
 )
+from mdm.mechanisms import QueryLog
+from mdm.menus import MenuPlan, UnrollDag
 
 
 def all_partial_lists(m: int) -> list[tuple[int, ...]]:
@@ -461,6 +463,108 @@ def hold_run_reference(q: Profile, i: int, events: list[tuple] | None) -> tuple[
                 break
     captured = sorted(h for d, h in mu.items() if d >= n)
     return {d: h for d, h in mu.items() if d < n}, nxt, captured
+
+
+def menu_da_plan_reference(i: int, p: Profile, log: QueryLog | None = None) -> MenuPlan:
+    """menu_da_plan's drain as it ran with a branch of its own for an applicant without a dag node.
+
+    The loop, _collide and the scan _next_interested are kept as they were,
+    after hold_run_reference; the DAG is the library's UnrollDag, so a
+    disagreement points at the drain or the scan.
+    """
+    validate_profile(p)
+    q = p.with_prefs(i, ())
+    mu, nxt, captured = hold_run_reference(q, i, log.events if log is not None else None)
+    menu: set[int] = set(captured)
+    dag = UnrollDag(i)
+
+    pending = list(reversed(captured))
+    while pending:
+        h0 = pending.pop()
+        frontier = {dag.add_source(h0)}
+        dag.check(mu, frontier, h0, menu)
+        h: int | None = h0
+        while h is not None:
+            d = _next_interested_reference(q, i, mu, dag, nxt, h, log)
+            if d is None:
+                h = None
+            elif d == i:
+                menu.add(h)
+                frontier.add(dag.add_source(h))
+            elif d not in dag.node_of:
+                fallback = mu.get(d)
+                node = dag.add_node(d, fallback)
+                for u in frontier:
+                    dag.add_edge(u, node)
+                frontier = {node}
+                dag.move(mu, d, h)
+                h = fallback
+            else:
+                h = _collide_reference(q, mu, dag, frontier, d, h)
+            dag.check(mu, frontier if h is not None else None, h, menu)
+
+    assert menu == {node[1] for node in dag.nodes if node[0] == i}
+    tentative = Matching.of(mu)
+    unmatched = frozenset(d for d in range(q.n_applicants) if d != i and d not in mu)
+    return MenuPlan(
+        applicant=i,
+        market=q,
+        menu=frozenset(menu),
+        tentative=tentative,
+        dag=dag,
+        terminal=unmatched,
+        pointers=tuple(nxt),
+    )
+
+
+def _next_interested_reference(
+    q: Profile, i: int, mu: dict[int, int], dag, nxt: list[int], h: int, log: QueryLog | None
+) -> int | None:
+    prios = q.institution_prios[h]
+    rank = q.applicant_rank
+    while nxt[h] < len(prios):
+        d = prios[nxt[h]]
+        if log is not None:
+            log.read(INSTITUTION, h, nxt[h], d)
+        nxt[h] += 1
+        if d == i:
+            return i
+        node = dag.node_of.get(d)
+        reservation = node[1] if node is not None else mu.get(d)
+        if log is not None:
+            log.lookup(APPLICANT, d, h)
+        r = rank[d].get(h)
+        if r is None:
+            continue
+        if reservation is None or r < rank[d][reservation]:
+            return d
+    return None
+
+
+def _collide_reference(q: Profile, mu: dict[int, int], dag, frontier: set, d: int, h: int) -> int:
+    p1 = dag.node_of[d]
+    preds1 = set(dag.preds.get(p1, ()))
+    removed = dag.unique_pred_chain(p1)
+    dag.remove_chain(removed)
+    frontier.difference_update(removed)
+    cur = mu[d]
+    if cur == h:
+        raise AssertionError(f"institution {h} proposed to its own match {d}")
+    if q.applicant_rank[d][cur] < q.applicant_rank[d][h]:
+        node = dag.add_node(d, h)
+        for u in preds1:
+            dag.add_edge(u, node)
+        frontier.add(node)
+        return h
+    if frontier:
+        node = dag.add_node(d, cur)
+        for u in frontier:
+            dag.add_edge(u, node)
+        frontier.clear()
+        frontier.add(node)
+    frontier.update(preds1)
+    dag.move(mu, d, h)
+    return cur
 
 
 def _type_of(types, player: int, vid: VertexId):

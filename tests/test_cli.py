@@ -336,6 +336,32 @@ def test_size_flags_are_capped(argv, flag, cap, capsys, monkeypatch):
     assert err == f"error: {flag} must be at most {cap}, got {cap + 1}\n"
 
 
+def tall_auction(tmp_path, bidders, items):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"K": 400, "values": [[k + j for j in range(items)] for k in range(bidders)]}))
+    return str(path)
+
+
+@pytest.mark.parametrize(("bidders", "items", "side"), [(301, 1, "bidders"), (1, 301, "items")])
+def test_vcg_unit_demand_oversize_file_exits_2_before_the_solver(bidders, items, side, tmp_path, capsys, monkeypatch):
+    def unreachable(v):
+        raise AssertionError("the solver ran on an oversize file")
+
+    monkeypatch.setattr("mdm.cli.vcg_unit_demand", unreachable)
+    code, out, err = run(capsys, "solve", "--mechanism", "vcg-unit-demand", tall_auction(tmp_path, bidders, items))
+    assert (code, out) == (2, "")
+    assert err == f"error: vcg-unit-demand {side} must be at most 300, got 301\n"
+
+
+def test_vcg_unit_demand_solves_at_the_cap_and_spa_is_uncapped(tmp_path, capsys):
+    code, out, _ = run(capsys, "solve", "--mechanism", "vcg-unit-demand", tall_auction(tmp_path, 300, 1))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["allocation"][299] == [0] and doc["prices"][299] == 298
+    code, out, _ = run(capsys, "solve", "--mechanism", "spa", tall_auction(tmp_path, 301, 1))
+    assert code == 0 and json.loads(out)["prices"][300] == 299
+
+
 @pytest.mark.parametrize(("where", "reason"), [("missing/x.json", "No such file or directory"), ("", "Is a directory")])
 def test_gen_out_to_an_unwritable_path_exits_2(where, reason, tmp_path, capsys):
     out = tmp_path / where

@@ -2,11 +2,12 @@
 
 import pytest
 
-from oracles import menu_by_reports
+from oracles import all_partial_lists, menu_by_reports
 
 from mdm.market import InstanceError, Profile
 from mdm.mechanisms import apda, serial_dictatorship, ttc
 from mdm.menus import (
+    all_lists,
     build_augmented_profile,
     menu_da,
     menu_da_applicant_proposing,
@@ -154,3 +155,11 @@ def test_menu_da_many_to_one_matches_expansion():
         assert menu_da_many_to_one(i, p) <= frozenset(range(2))
     # capacity 2 lets x keep two applicants, so the third's menu shows y only if reachable
     assert menu_da_many_to_one(0, p) == {0, 1}
+
+
+def test_all_lists_is_every_strict_partial_list_shortest_first():
+    assert [len(all_lists(m)) for m in range(6)] == [1, 2, 5, 16, 65, 326]
+    for m in range(5):
+        lists = all_lists(m)
+        assert sorted(lists) == sorted(all_partial_lists(m))
+        assert [len(x) for x in lists] == sorted(len(x) for x in lists)

@@ -1,0 +1,32 @@
+"""Source hygiene beside the 120-column check: no module imports a name it never reads."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "mdm"
+
+
+def unread_imports(tree: ast.Module) -> list[str]:
+    """Names bound by the module's imports (not __future__) that no expression loads and __all__ does not list."""
+    bound: dict[str, int] = {}
+    loaded: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            loaded.update(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in loaded]
+
+
+def test_every_imported_name_is_read():
+    unread = {
+        path.name: names
+        for path in sorted(SRC.glob("*.py"))
+        if (names := unread_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert unread == {}

@@ -8,16 +8,19 @@ rescan of oracles.py after every step as well and require the same plans;
 require faults injected into a copy of the drain loop, or into the DAG's
 methods, to be caught at the same step and for the same reason as by the
 rescan after every step; and show that writes which bypass the DAG's methods
-are still caught by the end of the chain.
+are still caught by the end of the chain. The drain itself, with its scan,
+is pinned against the earlier drain of oracles.py: identical plans, DAGs and
+logged queries.
 """
 
 import re
 
 import pytest
 
-from oracles import unroll_dag_check_reference
+from oracles import menu_da_plan_reference, unroll_dag_check_reference
 
 from mdm.generators import gen_random_market
+from mdm.mechanisms import QueryLog
 from mdm.menus import UnrollDag, _hold_run, _next_interested, menu_da_plan
 
 SMALL_MARKETS = [(n, trunc, seed) for n in range(3, 13) for trunc in (0.0, 0.3, 0.7) for seed in range(10)]
@@ -316,3 +319,31 @@ def test_direct_writes_are_caught_by_the_end_of_the_chain(monkeypatch, how):
             if str(exc).startswith("unroll dag invariant violated"):
                 caught[state["kind"]] += 1
     assert caught["full"] > 0, caught
+
+
+def plan_fields(plan, log):
+    dag = plan.dag
+    return (
+        plan.applicant,
+        plan.market,
+        plan.menu,
+        plan.tentative,
+        plan.terminal,
+        plan.pointers,
+        dag.nodes,
+        dag.out,
+        dag.node_of,
+        log.events,
+    )
+
+
+def test_drain_matches_the_drain_with_a_branch_for_new_nodes():
+    markets = [(n, trunc, seed, range(n)) for n, trunc, seed in SMALL_MARKETS]
+    markets += [(n, trunc, seed, [0, 75]) for n, trunc, seed in BIG_MARKETS]
+    for n, trunc, seed, applicants in markets:
+        p = gen_random_market(n, seed, trunc)
+        for i in applicants:
+            got, want = QueryLog(), QueryLog()
+            assert plan_fields(menu_da_plan(i, p, got), got) == plan_fields(
+                menu_da_plan_reference(i, p, want), want
+            ), (n, trunc, seed, i)
