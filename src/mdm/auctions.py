@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from mdm.market import InstanceError, _not_a_list, load_json_object
+from mdm.market import InstanceError, _check_index, _int_row_problems, _not_a_list, _raise_problems, load_small_format
 
 Assignment = tuple  # item index or None per bidder
 _INF = float("inf")
@@ -58,7 +58,7 @@ class ValuationMatrix:
 def validate_matrix(v: ValuationMatrix) -> None:
     """Raise InstanceError unless the matrix fits the auction environment."""
     problems: list[str] = []
-    if not isinstance(v.bound, int) or isinstance(v.bound, bool) or v.bound < 0:
+    if type(v.bound) is not int or v.bound < 0:
         problems.append(f"K: must be a nonnegative integer, got {v.bound!r}")
     if not v.values:
         problems.append("values: need at least one bidder")
@@ -67,14 +67,9 @@ def validate_matrix(v: ValuationMatrix) -> None:
     for i, row in enumerate(v.values):
         if len(row) != v.n_items:
             problems.append(f"values[{i}]: has {len(row)} entries, expected {v.n_items}")
-            continue
-        for j, x in enumerate(row):
-            if not isinstance(x, int) or isinstance(x, bool):
-                problems.append(f"values[{i}][{j}]: expected an integer, got {x!r}")
-            elif not (isinstance(v.bound, int) and 0 <= x <= v.bound):
-                problems.append(f"values[{i}][{j}]: {x} is outside 0..{v.bound}")
-    if problems:
-        raise InstanceError("\n".join(problems))
+        else:
+            problems += _int_row_problems(f"values[{i}]", row, 0, v.bound)
+    _raise_problems(problems)
 
 
 @dataclass(frozen=True)
@@ -95,7 +90,7 @@ class AuctionOutcome:
                 raise InstanceError(f"items {sorted(items & seen)} are allocated twice")
             seen |= items
         for i, price in enumerate(self.prices):
-            if not isinstance(price, int) or isinstance(price, bool) or price < 0:
+            if type(price) is not int or price < 0:
                 raise InstanceError(f"prices[{i}]: must be a nonnegative integer, got {price!r}")
 
 
@@ -104,7 +99,7 @@ def _check_bids(bids: Sequence[int]) -> tuple[int, ...]:
     if len(bids) < 2:
         raise InstanceError("an auction needs at least two bidders")
     for i, b in enumerate(bids):
-        if not isinstance(b, int) or isinstance(b, bool) or b < 0:
+        if type(b) is not int or b < 0:
             raise InstanceError(f"bids[{i}]: must be a nonnegative integer, got {b!r}")
     return bids
 
@@ -131,8 +126,7 @@ def spa_menu(i: int, bids: Sequence[int]) -> int:
     top bidder has a higher index.
     """
     bids = _check_bids(bids)
-    if not 0 <= i < len(bids):
-        raise InstanceError(f"no bidder {i}")
+    _check_index(i, len(bids), "bidder")
     return max(b for k, b in enumerate(bids) if k != i)
 
 
@@ -160,8 +154,7 @@ def menu_additive(i: int, v: ValuationMatrix) -> tuple[int, ...]:
     Her menu offers every item independently at its price, skipping an item
     costs nothing, and her own row never matters.
     """
-    if not 0 <= i < v.n_bidders:
-        raise InstanceError(f"no bidder {i}")
+    _check_index(i, v.n_bidders, "bidder")
     others = [row for k, row in enumerate(v.values) if k != i]
     return tuple(
         max((row[j] for row in others), default=0) for j in range(v.n_items)
@@ -343,8 +336,7 @@ def menu_unit_demand(i: int, v: ValuationMatrix) -> tuple[int, ...]:
     is the value of j to its holder less the least price of that holder in
     the market read with items as the agents.
     """
-    if not 0 <= i < v.n_bidders:
-        raise InstanceError(f"no bidder {i}")
+    _check_index(i, v.n_bidders, "bidder")
     others = v.values[:i] + v.values[i + 1 :]
     if not others:
         return (0,) * v.n_items
@@ -359,17 +351,8 @@ def menu_unit_demand(i: int, v: ValuationMatrix) -> tuple[int, ...]:
 
 def parse_auction(raw: bytes | str) -> ValuationMatrix:
     """Parse the JSON auction format {"K": ..., "values": [[...], ...]}."""
-    doc = load_json_object(raw)
-    problems = [f"top level: unknown field {key!r}" for key in sorted(set(doc) - {"K", "values"})]
-    if "K" not in doc:
-        problems.append("top level: missing field 'K'")
-    values = doc.get("values", [])
-    if not isinstance(values, list) or not all(isinstance(row, list) for row in values):
-        problems.append("values: expected a list of lists")
-        values = []
-    if problems:
-        raise InstanceError("\n".join(problems))
-    return ValuationMatrix(values=values, bound=doc["K"])
+    bound, values = load_small_format(raw, "K", "values", rows=True)
+    return ValuationMatrix(values=values, bound=bound)
 
 
 def serialize_auction(v: ValuationMatrix) -> str:

@@ -235,7 +235,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         reports = run_all(seed=args.seed)
     else:
         _at_most("--n", args.n, _MAX_VERIFY_N)
-        _at_most("--trials", trials if isinstance(trials, int) else None, _MAX_VERIFY_TRIALS)
+        _at_most("--trials", trials if type(trials) is int else None, _MAX_VERIFY_TRIALS)
         reports = [run_suite(args.suite, trials=trials, size=args.n, seed=args.seed)]
     lines = []
     for r in reports:

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from mdm.auctions import ValuationMatrix
-from mdm.market import InstanceError, Profile
+from mdm.market import InstanceError, Profile, _int_row_problems, _is_index, _raise_problems
 
 
 def gen_random_market(n: int, seed: int, truncation_prob: float = 0.0) -> Profile:
@@ -74,7 +74,7 @@ class CycleGridParams:
 
 def _validate_cycle_grid(params: CycleGridParams) -> None:
     n = params.n
-    if not isinstance(n, int) or n < 4 or n % 4:
+    if type(n) is not int or n < 4 or n % 4:
         raise InstanceError(f"n must be a positive multiple of 4, got {n!r}")
     k = n // 4
     if len(params.subsets) != k or len(params.truncate) != k:
@@ -84,7 +84,7 @@ def _validate_cycle_grid(params: CycleGridParams) -> None:
         if len(set(subset)) != len(subset):
             raise InstanceError(f"subsets[{j}]: entries must be distinct")
         for h in subset:
-            if h not in bottom:
+            if type(h) is not int or h not in bottom:
                 raise InstanceError(f"subsets[{j}]: {h!r} is not a bottom main institution")
 
 
@@ -172,16 +172,12 @@ class BitProbeParams:
 
 def _validate_bit_probe(params: BitProbeParams) -> None:
     k = params.k
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise InstanceError(f"k must be a positive integer, got {k!r}")
     if len(params.bits) != k or any(len(row) != k for row in params.bits):
         raise InstanceError("bits must be a k-by-k matrix")
-    for i, row in enumerate(params.bits):
-        for j, x in enumerate(row):
-            if x not in (0, 1):
-                raise InstanceError(f"bits[{i}][{j}]: expected 0 or 1, got {x!r}")
-    p, q = params.probe
-    if not (0 <= p < k and 0 <= q < k):
+    _raise_problems([e for i, row in enumerate(params.bits) for e in _int_row_problems(f"bits[{i}]", row, 0, 1)])
+    if len(params.probe) != 2 or not all(_is_index(x, k) for x in params.probe):
         raise InstanceError(f"probe {params.probe!r} is outside the matrix")
 
 

@@ -35,6 +35,34 @@ def _not_a_list(fields: dict[str, object], nested: tuple[str, ...] = ()) -> Inst
     return InstanceError(f"{', '.join(fields)}: expected lists")  # a failing iterator is spent, so its row is lost
 
 
+def _raise_problems(problems: list[str]) -> None:
+    """Raise every problem, one a line, as one InstanceError; an empty list passes."""
+    if problems:
+        raise InstanceError("\n".join(problems))
+
+
+def _is_index(i: object, n: int) -> bool:
+    """The one rule for an agent index: an int, not a bool, in 0..n-1."""
+    return type(i) is int and 0 <= i < n
+
+
+def _check_index(i: object, n: int, noun: str) -> None:
+    """Raise an InstanceError that names the value unless i is an index among n agents of the noun."""
+    if not _is_index(i, n):
+        raise InstanceError(f"{noun} index {i!r} out of range for {n} {noun}s")
+
+
+def _int_row_problems(path: str, row: tuple, lo: int, hi: object) -> list[str]:
+    """Problems of a row meant to hold ints (not bools) in lo..hi; a hi that is not an int skips the range test."""
+    ranged, problems = type(hi) is int, []
+    for j, x in enumerate(row):
+        if type(x) is not int:
+            problems.append(f"{path}[{j}]: expected an integer, got {x!r}")
+        elif ranged and not lo <= x <= hi:
+            problems.append(f"{path}[{j}]: {x} is outside {lo}..{hi}")
+    return problems
+
+
 RankTable = tuple[dict[int, int], ...]
 
 
@@ -286,7 +314,7 @@ def _profile_problems(p: Profile) -> list[str]:
     for h, prios in enumerate(p.institution_prios):
         problems += _list_problems(INSTITUTION, h, prios, n)
     for h, cap in enumerate(p.capacities):
-        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
+        if type(cap) is not int or cap < 1:
             problems.append(f"institution {h} has invalid capacity {cap!r}")
     return problems
 
@@ -299,17 +327,15 @@ def validate_profile(p: Profile) -> None:
     """
     if p._checked:
         return
-    problems = _profile_problems(p)
-    if problems:
-        raise InstanceError("\n".join(problems))
+    _raise_problems(_profile_problems(p))
     vars(p)["_checked"] = True
 
 
-def _check_entry(p: Profile, applicant: int | None = None, unit: bool = False) -> None:
-    """Every engine's entry check, in the order it reports: the profile, the applicant index, unit capacity."""
+def _check_entry(p: Profile, *applicant: int, unit: bool = False) -> None:
+    """Every engine's entry check, in the order it reports: the profile, any applicant index, unit capacity."""
     validate_profile(p)
-    if applicant is not None and not 0 <= applicant < p.n_applicants:
-        raise InstanceError(f"applicant index {applicant} out of range for {p.n_applicants} applicants")
+    for i in applicant:
+        _check_index(i, p.n_applicants, APPLICANT)
     if unit:
         _require_unit(p)
 
@@ -325,7 +351,7 @@ def validate_matching(p: Profile, m: Matching) -> None:
     seen_applicants: set[int] = set()
     load: dict[int, int] = {}
     for d, h in sorted(m.pairs):
-        if not (0 <= d < p.n_applicants and 0 <= h < p.n_institutions):
+        if not (_is_index(d, p.n_applicants) and _is_index(h, p.n_institutions)):
             problems.append(f"pair ({d}, {h}) references a nonexistent agent")
             continue
         if d in seen_applicants:
@@ -339,8 +365,7 @@ def validate_matching(p: Profile, m: Matching) -> None:
     for h, count in sorted(load.items()):
         if count > p.capacities[h]:
             problems.append(f"institution {h} holds {count} applicants, capacity {p.capacities[h]}")
-    if problems:
-        raise InstanceError("\n".join(problems))
+    _raise_problems(problems)
 
 
 def blocking_pairs(p: Profile, m: Matching) -> list[BlockingPair]:
@@ -398,6 +423,20 @@ def load_json_object(raw: bytes | str) -> dict:
     return doc
 
 
+def load_small_format(raw: bytes | str, scalar: str, listed: str, rows: bool = False) -> tuple[object, list]:
+    """The scalar and the list of a small format's object, checking its fields and the list's shape (a list of
+    lists with rows); the values are left to the constructor that takes them."""
+    doc = load_json_object(raw)
+    problems = [f"top level: unknown field {key!r}" for key in sorted(set(doc) - {scalar, listed})]
+    if scalar not in doc:
+        problems.append(f"top level: missing field {scalar!r}")
+    items = doc.get(listed, [])
+    if not isinstance(items, list) or rows and not all(isinstance(row, list) for row in items):
+        problems.append(f"{listed}: expected a list{' of lists' * rows}")
+    _raise_problems(problems)
+    return doc[scalar], items
+
+
 def _check_name(name: object, path: str, problems: list[str]) -> None:
     if not isinstance(name, str) or not name:
         problems.append(f"{path}: name must be a nonempty string")
@@ -452,8 +491,7 @@ def _parse_document(doc: dict, typed: bool) -> Profile:
         problems.append(f"top level: unknown field {key!r}")
     applicants = _check_records(doc.get("applicants", []), "applicants", "prefs", problems, typed)
     institutions = _check_records(doc.get("institutions", []), "institutions", "prios", problems, typed)
-    if problems:
-        raise InstanceError("\n".join(problems))
+    _raise_problems(problems)
 
     def index_by_name(records: list[dict], path: str) -> dict[str, int]:
         seen: set[str] = set()
@@ -494,12 +532,11 @@ def _parse_document(doc: dict, typed: bool) -> Profile:
     for k, rec in enumerate(institutions):
         prios[h_index[rec["name"]]] = resolve(rec, "prios", d_index, f"institutions[{k}]")
         cap = rec.get("capacity", 1)
-        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
+        if type(cap) is not int or cap < 1:
             problems.append(f"institutions[{k}].capacity: must be an integer >= 1, got {cap!r}")
         else:
             caps[h_index[rec["name"]]] = cap
-    if problems:
-        raise InstanceError("\n".join(problems))
+    _raise_problems(problems)
     # Every rule of _profile_problems holds by now: one list and one capacity
     # per name, names nonempty, unique and on one side only, entries in range
     # (looked up by name) and not repeated, capacities integers >= 1.

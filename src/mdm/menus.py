@@ -571,7 +571,7 @@ def _collide(
     no replacement node at all.
     """
     p1 = dag.node_of.get(d)
-    preds1 = set(dag.preds.get(p1, ()))
+    preds1 = dag.preds.get(p1, ())
     if p1 is not None:
         removed = dag.unique_pred_chain(p1)
         dag.remove_chain(removed)

@@ -40,7 +40,6 @@ from mdm.market import (
     blocking_pairs,
     matched_sets,
     serialize_instance,
-    validate_matching,
     validate_profile,
 )
 from mdm.mechanisms import (
@@ -191,7 +190,6 @@ def _stability_trial(size: int, seed: int, t: int) -> list[Failure]:
     best = apda(p)
     worst = ipda(p)
     for name, mu in [("applicant-proposing", best), ("institution-proposing", worst)]:
-        validate_matching(p, mu)
         blocks = blocking_pairs(p, mu)
         if blocks:
             problems.append((
@@ -572,7 +570,7 @@ def _job(suite: str, trials: int | str | None, size: int | None, seed: int) -> _
         n_trials = 4 * len(all_lists(4))
     elif trials is None:
         n_trials = default_trials
-    elif isinstance(trials, int):
+    elif type(trials) is int:
         n_trials = trials
     else:
         raise InstanceError(f"invalid trial count {trials!r}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from mdm.market import InstanceError, _not_a_list, load_json_object
+from mdm.market import InstanceError, _check_index, _int_row_problems, _not_a_list, _raise_problems, load_small_format
 
 
 @dataclass(frozen=True)
@@ -39,18 +39,13 @@ class VoteProfile:
 def validate_votes(v: VoteProfile) -> None:
     """Raise InstanceError unless the profile fits the voting environment."""
     problems: list[str] = []
-    if not isinstance(v.candidates, int) or isinstance(v.candidates, bool) or v.candidates < 1:
+    if type(v.candidates) is not int or v.candidates < 1:
         problems.append(f"candidates: must be an integer >= 1, got {v.candidates!r}")
     if v.n_voters % 2 == 0:
         problems.append(f"votes: need an odd number of voters, got {v.n_voters}")
     else:
-        for k, vote in enumerate(v.votes):
-            if not isinstance(vote, int) or isinstance(vote, bool):
-                problems.append(f"votes[{k}]: expected an integer, got {vote!r}")
-            elif isinstance(v.candidates, int) and not 1 <= vote <= v.candidates:
-                problems.append(f"votes[{k}]: {vote} is outside 1..{v.candidates}")
-    if problems:
-        raise InstanceError("\n".join(problems))
+        problems += _int_row_problems("votes", v.votes, 1, v.candidates)
+    _raise_problems(problems)
 
 
 def median_outcome(v: VoteProfile) -> int:
@@ -64,8 +59,7 @@ def median_menu(v: VoteProfile, i: int) -> tuple[int, int]:
     With the other votes sorted, the interval spans their two middle
     elements. For three voters that is simply (min, max) of the other two.
     """
-    if not 0 <= i < v.n_voters:
-        raise InstanceError(f"no voter {i}")
+    _check_index(i, v.n_voters, "voter")
     others = sorted(v.votes[:i] + v.votes[i + 1 :])
     mid = len(others) // 2
     if not others:
@@ -83,17 +77,8 @@ def median_menu_select(menu: tuple[int, int], own: int) -> int:
 
 def parse_votes(raw: bytes | str) -> VoteProfile:
     """Parse the JSON vote format {"C": ..., "votes": [...]}."""
-    doc = load_json_object(raw)
-    problems = [f"top level: unknown field {key!r}" for key in sorted(set(doc) - {"C", "votes"})]
-    if "C" not in doc:
-        problems.append("top level: missing field 'C'")
-    votes = doc.get("votes", [])
-    if not isinstance(votes, list):
-        problems.append("votes: expected a list")
-        votes = []
-    if problems:
-        raise InstanceError("\n".join(problems))
-    return VoteProfile(candidates=doc["C"], votes=votes)
+    candidates, votes = load_small_format(raw, "C", "votes")
+    return VoteProfile(candidates=candidates, votes=votes)
 
 
 def serialize_votes(v: VoteProfile) -> str:

@@ -443,3 +443,11 @@ def test_verify_failures_are_reported_in_both_formats(capsys, monkeypatch):
             "  instance: " + " ".join(f["instance"].split()),
         )
     ]
+
+
+def test_solve_vcg_additive_with_a_string_bound_exits_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "a.json"
+    path.write_text('{"K": "3", "values": [[1]]}')
+    code, out, err = run(capsys, "solve", "--mechanism", "vcg-additive", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: K: must be a nonnegative integer, got '3'\n"

@@ -1,0 +1,92 @@
+"""Every number from outside answers to one rule per kind, in mdm.market: an agent index is an
+int, not a bool, in range; an integer field is ``type(x) is int``; a row of integers in lo..hi is
+checked by one helper. Each breach is an InstanceError that names the bad value."""
+
+import pytest
+
+from mdm.auctions import ValuationMatrix, menu_additive, menu_unit_demand, parse_auction, spa_menu
+from mdm.generators import BitProbeParams
+from mdm.market import InstanceError, Matching, Profile, validate_matching
+from mdm.menus import menu_da, menu_sd
+from mdm.voting import VoteProfile, median_menu, parse_votes
+
+MARKET = Profile(("a", "b", "c"), ("x", "y"), ((0, 1), (1, 0), (0,)), ((0, 1, 2), (2, 1, 0)))
+MATRIX = ValuationMatrix(((3, 1), (2, 4), (5, 0)), 5)
+VOTES = VoteProfile(7, (2, 7, 3))
+
+MENUS = {
+    "menu_da": (lambda i: menu_da(i, MARKET), "applicant"),
+    "menu_sd": (lambda i: menu_sd(i, MARKET, range(3)), "applicant"),
+    "spa_menu": (lambda i: spa_menu(i, (3, 5, 4)), "bidder"),
+    "menu_additive": (lambda i: menu_additive(i, MATRIX), "bidder"),
+    "menu_unit_demand": (lambda i: menu_unit_demand(i, MATRIX), "bidder"),
+    "median_menu": (lambda i: median_menu(VOTES, i), "voter"),
+}
+
+
+@pytest.mark.parametrize("i", [0.5, 1.0, True, False, 3, -1, "1", None], ids=repr)
+@pytest.mark.parametrize("engine", MENUS)
+def test_every_menu_function_rejects_an_index_that_is_not_an_int_in_range(engine, i):
+    menu, noun = MENUS[engine]
+    with pytest.raises(InstanceError) as err:
+        menu(i)
+    assert str(err.value) == f"{noun} index {i!r} out of range for 3 {noun}s"
+
+
+@pytest.mark.parametrize("pair", [(0.0, 0), (0, True), (3, 0), (0, -1)], ids=repr)
+def test_a_matching_pair_with_a_bad_index_references_a_nonexistent_agent(pair):
+    with pytest.raises(InstanceError) as err:
+        validate_matching(MARKET, Matching([pair]))
+    assert str(err.value) == f"pair ({pair[0]}, {pair[1]}) references a nonexistent agent"
+
+
+@pytest.mark.parametrize(
+    ("k", "bits", "probe", "text"),
+    [
+        (True, ((1,),), (0, 0), "k must be a positive integer, got True"),
+        (1, ((True,),), (0, 0), "bits[0][0]: expected an integer, got True"),
+        (2, ((0, 1), (2, 0)), (0, 0), "bits[1][0]: 2 is outside 0..1"),
+        (1, ((1,),), (0.5, 0), "probe (0.5, 0) is outside the matrix"),
+        (1, ((1,),), (0, False), "probe (0, False) is outside the matrix"),
+        (1, ((1,),), (0,), "probe (0,) is outside the matrix"),
+    ],
+)
+def test_bit_probe_params_take_ints_only(k, bits, probe, text):
+    with pytest.raises(InstanceError) as err:
+        BitProbeParams(k, bits, probe)
+    assert str(err.value) == text
+
+
+def test_a_matrix_with_a_bound_that_is_not_an_int_reports_only_the_bound():
+    with pytest.raises(InstanceError) as err:
+        ValuationMatrix(((1,),), "3")
+    assert str(err.value) == "K: must be a nonnegative integer, got '3'"
+
+
+def test_matrix_rows_and_votes_answer_to_the_same_row_rule():
+    with pytest.raises(InstanceError) as err:
+        ValuationMatrix(((1, True, 7), (0.0, 2, 3)), 5)
+    assert str(err.value).splitlines() == [
+        "values[0][1]: expected an integer, got True",
+        "values[0][2]: 7 is outside 0..5",
+        "values[1][0]: expected an integer, got 0.0",
+    ]
+    with pytest.raises(InstanceError) as err:
+        VoteProfile(5, (1, True, 7))
+    assert str(err.value).splitlines() == ["votes[1]: expected an integer, got True", "votes[2]: 7 is outside 1..5"]
+
+
+@pytest.mark.parametrize(
+    ("parse", "doc", "text"),
+    [
+        (parse_auction, '{"values": [[1]], "x": 0}', "top level: unknown field 'x'\ntop level: missing field 'K'"),
+        (parse_auction, '{"K": 1, "values": [1]}', "values: expected a list of lists"),
+        (parse_auction, '{"K": 1, "values": 1}', "values: expected a list of lists"),
+        (parse_votes, '{"votes": [1], "x": 0}', "top level: unknown field 'x'\ntop level: missing field 'C'"),
+        (parse_votes, '{"C": 1, "votes": {}}', "votes: expected a list"),
+    ],
+)
+def test_both_small_formats_report_their_fields_and_shape_alike(parse, doc, text):
+    with pytest.raises(InstanceError) as err:
+        parse(doc)
+    assert str(err.value) == text
