@@ -26,7 +26,8 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from mdm.market import InstanceError, _check_index, _int_row_problems, _not_a_list, _raise_problems, load_small_format
+from mdm.market import InstanceError, _check_index, _int_row_problems, _is_count, _not_a_list, _raise_problems
+from mdm.market import load_small_format
 
 Assignment = tuple  # item index or None per bidder
 _INF = float("inf")
@@ -58,7 +59,7 @@ class ValuationMatrix:
 def validate_matrix(v: ValuationMatrix) -> None:
     """Raise InstanceError unless the matrix fits the auction environment."""
     problems: list[str] = []
-    if type(v.bound) is not int or v.bound < 0:
+    if not _is_count(v.bound):
         problems.append(f"K: must be a nonnegative integer, got {v.bound!r}")
     if not v.values:
         problems.append("values: need at least one bidder")
@@ -90,7 +91,7 @@ class AuctionOutcome:
                 raise InstanceError(f"items {sorted(items & seen)} are allocated twice")
             seen |= items
         for i, price in enumerate(self.prices):
-            if type(price) is not int or price < 0:
+            if not _is_count(price):
                 raise InstanceError(f"prices[{i}]: must be a nonnegative integer, got {price!r}")
 
 
@@ -99,7 +100,7 @@ def _check_bids(bids: Sequence[int]) -> tuple[int, ...]:
     if len(bids) < 2:
         raise InstanceError("an auction needs at least two bidders")
     for i, b in enumerate(bids):
-        if type(b) is not int or b < 0:
+        if not _is_count(b):
             raise InstanceError(f"bids[{i}]: must be a nonnegative integer, got {b!r}")
     return bids
 

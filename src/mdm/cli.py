@@ -426,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = commands.add_parser("verify", help="run seeded self-check suites")
     verify.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))
-    verify.add_argument("--n", type=int, help="agents per side for market suites")
+    verify.add_argument("--n", type=int, help="agents per side for market suites, candidates for voting")
     verify.add_argument("--trials", help="trial count, or 'exhaustive' for strategyproofness")
     verify.add_argument("--seed", type=int, default=0)
     _add_format(verify)

@@ -30,6 +30,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
+from mdm.market import _is_count
+
 QUERY_KINDS = ("full-type", "rank", "scalar-value")
 
 END_OF_LIST = "end-of-list"
@@ -162,7 +164,7 @@ def _check_edge(d: ExtensiveFormDescription, layer: int, where: str, target) -> 
     if not (
         isinstance(target, tuple)
         and len(target) == 2
-        and all(isinstance(x, int) for x in target)
+        and all(type(x) is int for x in target)
     ):
         return [f"{where} targets {target!r}, not a (layer, index) pair"]
     if layer + 1 >= len(d.layers):
@@ -193,13 +195,13 @@ def _check_vertex(d: ExtensiveFormDescription, layer: int, idx: int, v: Vertex) 
         return out
     if v.player is None or v.query is None:
         return [f"{where} has a transition table but no player or query"]
-    if not isinstance(v.player, int) or v.player < 0:
+    if not _is_count(v.player):
         out.append(f"{where} queries invalid player {v.player!r}")
     q = v.query
     if q.kind not in QUERY_KINDS:
         out.append(f"{where} has unknown query kind {q.kind!r}")
-    if q.kind == "rank" and (q.arg is None or q.arg < 0):
-        out.append(f"{where} rank query needs a nonnegative list position")
+    if q.kind == "rank" and not _is_count(q.arg):
+        out.append(f"{where} rank query needs a nonnegative list position, got {q.arg!r}")
     if q.kind == "full-type" and len(q.answers) > _FULL_TYPE_CAP:
         out.append(
             f"{where} full-type query has {len(q.answers)} answers, over the cap of {_FULL_TYPE_CAP}"
@@ -380,10 +382,10 @@ def build_spa_menu_description(n: int, K: int) -> ExtensiveFormDescription:
     keeping one sink per conceivable outcome, and the sink layer's width of
     K+2 dominates the memory metric regardless of n.
     """
-    if n < 2:
-        raise ValueError("an auction needs at least two bidders")
-    if K < 0:
-        raise ValueError("the bid bound must be nonnegative")
+    if not _is_count(n, 2):
+        raise ValueError(f"an auction needs at least two bidders, got {n!r}")
+    if not _is_count(K):
+        raise ValueError(f"the bid bound must be a nonnegative integer, got {K!r}")
     bids = tuple(range(K + 1))
     query = Query("scalar-value", answers=bids)
     layers: list[tuple[Vertex, ...]] = [
@@ -426,8 +428,8 @@ def count_induced_functions(n: int) -> int:
     menu, since states determine everything downstream. The count grows as
     two to the square of n/4, which is why only n of 4 and 8 are enumerable.
     """
-    if n not in (4, 8):
-        raise ValueError("supported sizes are 4 and 8; larger families outgrow enumeration")
+    if not _is_count(n) or n not in (4, 8):
+        raise ValueError(f"supported sizes are 4 and 8; larger families outgrow enumeration, got {n!r}")
     from mdm.generators import CycleGridParams, gen_cycle_grid
     from mdm.mechanisms import apda
 

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from mdm.auctions import ValuationMatrix
-from mdm.market import InstanceError, Profile, _int_row_problems, _is_index, _raise_problems
+from mdm.market import InstanceError, Profile, _int_row_problems, _is_count, _is_index, _raise_problems
 
 
 def gen_random_market(n: int, seed: int, truncation_prob: float = 0.0) -> Profile:
@@ -27,10 +27,10 @@ def gen_random_market(n: int, seed: int, truncation_prob: float = 0.0) -> Profil
     uniform-length proper prefix, possibly empty. The same arguments always
     produce the same Profile.
     """
-    if n < 1:
-        raise InstanceError("need at least one agent per side")
-    if not 0 <= truncation_prob <= 1:
-        raise InstanceError(f"truncation probability {truncation_prob!r} is outside [0, 1]")
+    if not _is_count(n, 1):
+        raise InstanceError(f"need at least one agent per side, got {n!r}")
+    if type(truncation_prob) not in (int, float) or not 0 <= truncation_prob <= 1:  # a bool is no probability
+        raise InstanceError(f"truncation probability must be a number in [0, 1], got {truncation_prob!r}")
     rng = random.Random(seed)
 
     def draw_lists(count: int) -> tuple[tuple[int, ...], ...]:
@@ -69,23 +69,19 @@ class CycleGridParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "subsets", tuple(tuple(s) for s in self.subsets))
         object.__setattr__(self, "truncate", tuple(bool(b) for b in self.truncate))
-        _validate_cycle_grid(self)
-
-
-def _validate_cycle_grid(params: CycleGridParams) -> None:
-    n = params.n
-    if type(n) is not int or n < 4 or n % 4:
-        raise InstanceError(f"n must be a positive multiple of 4, got {n!r}")
-    k = n // 4
-    if len(params.subsets) != k or len(params.truncate) != k:
-        raise InstanceError(f"need one subset and one truncation flag per top cycle ({k})")
-    bottom = range(k, n // 2)
-    for j, subset in enumerate(params.subsets):
-        if len(set(subset)) != len(subset):
-            raise InstanceError(f"subsets[{j}]: entries must be distinct")
-        for h in subset:
-            if type(h) is not int or h not in bottom:
-                raise InstanceError(f"subsets[{j}]: {h!r} is not a bottom main institution")
+        n = self.n
+        if not _is_count(n, 4) or n % 4:
+            raise InstanceError(f"n must be a positive multiple of 4, got {n!r}")
+        k = n // 4
+        if len(self.subsets) != k or len(self.truncate) != k:
+            raise InstanceError(f"need one subset and one truncation flag per top cycle ({k})")
+        bottom = range(k, n // 2)
+        for j, subset in enumerate(self.subsets):
+            if len(set(subset)) != len(subset):
+                raise InstanceError(f"subsets[{j}]: entries must be distinct")
+            for h in subset:
+                if type(h) is not int or h not in bottom:
+                    raise InstanceError(f"subsets[{j}]: {h!r} is not a bottom main institution")
 
 
 def gen_cycle_grid(params: CycleGridParams) -> Profile:
@@ -167,18 +163,14 @@ class BitProbeParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "bits", tuple(tuple(row) for row in self.bits))
         object.__setattr__(self, "probe", tuple(self.probe))
-        _validate_bit_probe(self)
-
-
-def _validate_bit_probe(params: BitProbeParams) -> None:
-    k = params.k
-    if type(k) is not int or k < 1:
-        raise InstanceError(f"k must be a positive integer, got {k!r}")
-    if len(params.bits) != k or any(len(row) != k for row in params.bits):
-        raise InstanceError("bits must be a k-by-k matrix")
-    _raise_problems([e for i, row in enumerate(params.bits) for e in _int_row_problems(f"bits[{i}]", row, 0, 1)])
-    if len(params.probe) != 2 or not all(_is_index(x, k) for x in params.probe):
-        raise InstanceError(f"probe {params.probe!r} is outside the matrix")
+        k = self.k
+        if not _is_count(k, 1):
+            raise InstanceError(f"k must be a positive integer, got {k!r}")
+        if len(self.bits) != k or any(len(row) != k for row in self.bits):
+            raise InstanceError("bits must be a k-by-k matrix")
+        _raise_problems([e for i, row in enumerate(self.bits) for e in _int_row_problems(f"bits[{i}]", row, 0, 1)])
+        if len(self.probe) != 2 or not all(_is_index(x, k) for x in self.probe):
+            raise InstanceError(f"probe {self.probe!r} is outside the matrix")
 
 
 def gen_bit_probe_auction(params: BitProbeParams) -> ValuationMatrix:

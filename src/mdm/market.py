@@ -46,6 +46,11 @@ def _is_index(i: object, n: int) -> bool:
     return type(i) is int and 0 <= i < n
 
 
+def _is_count(x: object, lo: int = 0) -> bool:
+    """The one rule for a size, count, bound, capacity, price, bid, player or position: an int, not a bool, >= lo."""
+    return type(x) is int and x >= lo
+
+
 def _check_index(i: object, n: int, noun: str) -> None:
     """Raise an InstanceError that names the value unless i is an index among n agents of the noun."""
     if not _is_index(i, n):
@@ -314,7 +319,7 @@ def _profile_problems(p: Profile) -> list[str]:
     for h, prios in enumerate(p.institution_prios):
         problems += _list_problems(INSTITUTION, h, prios, n)
     for h, cap in enumerate(p.capacities):
-        if type(cap) is not int or cap < 1:
+        if not _is_count(cap, 1):
             problems.append(f"institution {h} has invalid capacity {cap!r}")
     return problems
 
@@ -350,7 +355,8 @@ def validate_matching(p: Profile, m: Matching) -> None:
     problems: list[str] = []
     seen_applicants: set[int] = set()
     load: dict[int, int] = {}
-    for d, h in sorted(m.pairs):
+    # Ints sort by value and any other entry after them by its repr, so no two entries of different types compare.
+    for d, h in sorted(m.pairs, key=lambda pair: [(0, x) if type(x) is int else (1, repr(x)) for x in pair]):
         if not (_is_index(d, p.n_applicants) and _is_index(h, p.n_institutions)):
             problems.append(f"pair ({d}, {h}) references a nonexistent agent")
             continue
@@ -532,7 +538,7 @@ def _parse_document(doc: dict, typed: bool) -> Profile:
     for k, rec in enumerate(institutions):
         prios[h_index[rec["name"]]] = resolve(rec, "prios", d_index, f"institutions[{k}]")
         cap = rec.get("capacity", 1)
-        if type(cap) is not int or cap < 1:
+        if not _is_count(cap, 1):
             problems.append(f"institutions[{k}].capacity: must be an integer >= 1, got {cap!r}")
         else:
             caps[h_index[rec["name"]]] = cap

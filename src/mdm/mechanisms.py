@@ -24,6 +24,7 @@ from mdm.market import (
     Profile,
     _check_entry,
     _Frozen,
+    _is_count,
     _require_unit,
     validate_profile,
 )
@@ -137,8 +138,8 @@ def serial_dictatorship(p: Profile, order: Sequence[int]) -> Matching:
     listed institutions are all claimed stays unmatched.
     """
     _check_entry(p, unit=True)
-    if sorted(order) != list(range(p.n_applicants)):
-        raise InstanceError("order must be a permutation of all applicant indices")
+    if not all(map(_is_count, order)) or sorted(order) != list(range(p.n_applicants)):
+        raise InstanceError(f"order must be a permutation of all applicant indices, got {tuple(order)!r}")
     taken: set[int] = set()
     out: dict[int, int] = {}
     for d in order:

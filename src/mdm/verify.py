@@ -37,6 +37,7 @@ from mdm.market import (
     INSTITUTION,
     InstanceError,
     Profile,
+    _is_count,
     blocking_pairs,
     matched_sets,
     serialize_instance,
@@ -69,9 +70,9 @@ from mdm.voting import (
     serialize_votes,
 )
 
-# (size, trials) used when the caller does not override them. Sizes are
-# agent counts for market suites and ignored by auctions/voting, which draw
-# their own dimensions per trial.
+# (size, trials) used when the caller does not override them. A size is the agent count per side
+# of a market suite and the candidate count of voting, whose trials are capped at size**3 (every
+# 3-voter profile); the auctions suite ignores it and draws its own dimensions per trial.
 _DEFAULTS: dict[str, tuple[int, int]] = {
     "menus": (6, 150),
     "stability": (6, 200),
@@ -561,23 +562,19 @@ def _job(suite: str, trials: int | str | None, size: int | None, seed: int) -> _
     name = suite
     default_size, default_trials = _DEFAULTS[suite]
     size = size if size is not None else default_size
-    if size < 1:
-        raise InstanceError(f"suite size must be at least 1, got {size}")
+    if not _is_count(size, 1):
+        raise InstanceError(f"suite size must be at least 1, got {size!r}")
     if trials == "exhaustive":
         if suite != "strategyproofness":
             raise InstanceError("only the strategyproofness suite has an exhaustive mode")
         name = "strategyproofness-exhaustive"
         n_trials = 4 * len(all_lists(4))
-    elif trials is None:
-        n_trials = default_trials
-    elif type(trials) is int:
-        n_trials = trials
     else:
-        raise InstanceError(f"invalid trial count {trials!r}")
+        n_trials = default_trials if trials is None else trials
+        if not _is_count(n_trials, 1):
+            raise InstanceError(f"trial count must be a positive integer, got {n_trials!r}")
     if suite == "voting":
         n_trials = min(n_trials, size**3)
-    if n_trials <= 0:
-        raise InstanceError(f"trial count must be positive, got {n_trials}")
     return _Job(suite, name, size, n_trials, seed)
 
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from mdm.market import InstanceError, _check_index, _int_row_problems, _not_a_list, _raise_problems, load_small_format
+from mdm.market import InstanceError, _check_index, _int_row_problems, _is_count, _not_a_list, _raise_problems
+from mdm.market import load_small_format
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ class VoteProfile:
 def validate_votes(v: VoteProfile) -> None:
     """Raise InstanceError unless the profile fits the voting environment."""
     problems: list[str] = []
-    if type(v.candidates) is not int or v.candidates < 1:
+    if not _is_count(v.candidates, 1):
         problems.append(f"candidates: must be an integer >= 1, got {v.candidates!r}")
     if v.n_voters % 2 == 0:
         problems.append(f"votes: need an odd number of voters, got {v.n_voters}")

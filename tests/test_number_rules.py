@@ -5,9 +5,20 @@ checked by one helper. Each breach is an InstanceError that names the bad value.
 import pytest
 
 from mdm.auctions import ValuationMatrix, menu_additive, menu_unit_demand, parse_auction, spa_menu
-from mdm.generators import BitProbeParams
+from mdm.descriptions import (
+    DescriptionError,
+    ExtensiveFormDescription,
+    Query,
+    Vertex,
+    build_spa_menu_description,
+    count_induced_functions,
+    validate_description,
+)
+from mdm.generators import BitProbeParams, gen_random_market
 from mdm.market import InstanceError, Matching, Profile, validate_matching
+from mdm.mechanisms import serial_dictatorship
 from mdm.menus import menu_da, menu_sd
+from mdm.verify import run_suite
 from mdm.voting import VoteProfile, median_menu, parse_votes
 
 MARKET = Profile(("a", "b", "c"), ("x", "y"), ((0, 1), (1, 0), (0,)), ((0, 1, 2), (2, 1, 0)))
@@ -90,3 +101,68 @@ def test_both_small_formats_report_their_fields_and_shape_alike(parse, doc, text
     with pytest.raises(InstanceError) as err:
         parse(doc)
     assert str(err.value) == text
+
+
+def _one_step(first: Vertex) -> ExtensiveFormDescription:
+    """A two-layer description: the given vertex, then one sink."""
+    return ExtensiveFormDescription(((first,), (Vertex(label="done"),)))
+
+
+def _asking(player: object = 0, kind: str = "scalar-value", arg: object = None) -> Vertex:
+    return Vertex(player=player, query=Query(kind, (0,), arg), table={0: (1, 0)})
+
+
+# (error type, call on the bad value, bad value): every count, picking order and probability a library
+# caller passes, each of which the hand-written checks let through or let escape as a TypeError.
+BAD_NUMBERS = {
+    "sd order holding a bool": (InstanceError, lambda x: serial_dictatorship(MARKET, (0, x, 2)), True),
+    "sd order holding a float": (InstanceError, lambda x: serial_dictatorship(MARKET, (x, 1, 2)), 0.0),
+    "menu_sd order holding a bool": (InstanceError, lambda x: menu_sd(1, MARKET, (0, x, 2)), True),
+    "random market of 2.5 agents": (InstanceError, lambda x: gen_random_market(x, 0), 2.5),
+    "random market of '3' agents": (InstanceError, lambda x: gen_random_market(x, 0), "3"),
+    "random market of True agents": (InstanceError, lambda x: gen_random_market(x, 0), True),
+    "truncation probability '0.3'": (InstanceError, lambda x: gen_random_market(3, 0, x), "0.3"),
+    "truncation probability None": (InstanceError, lambda x: gen_random_market(3, 0, x), None),
+    "truncation probability True": (InstanceError, lambda x: gen_random_market(3, 0, x), True),
+    "suite size 2.5": (InstanceError, lambda x: run_suite("stability", trials=3, size=x), 2.5),
+    "suite size True": (InstanceError, lambda x: run_suite("stability", trials=3, size=x), True),
+    "trial count 2.5": (InstanceError, lambda x: run_suite("stability", trials=x), 2.5),
+    "trial count 0": (InstanceError, lambda x: run_suite("stability", trials=x), 0),
+    "suite 'nope'": (InstanceError, lambda x: run_suite(x), "nope"),
+    "SPA description of 2.5 bidders": (ValueError, lambda x: build_spa_menu_description(x, 3), 2.5),
+    "SPA description with bid bound 1.5": (ValueError, lambda x: build_spa_menu_description(3, x), 1.5),
+    "induced functions of 4.0": (ValueError, lambda x: count_induced_functions(x), 4.0),
+    "vertex asking player True": (DescriptionError, lambda x: validate_description(_one_step(_asking(x))), True),
+    "edge to layer True": (DescriptionError, lambda x: validate_description(_one_step(Vertex(succ=(x, 0)))), True),
+    "rank query at position 0.5": (
+        DescriptionError, lambda x: validate_description(_one_step(_asking(kind="rank", arg=x))), 0.5,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_NUMBERS)
+def test_every_count_order_and_probability_rejects_a_bad_value_by_name(case):
+    error, call, value = BAD_NUMBERS[case]
+    with pytest.raises(error) as err:
+        call(value)
+    assert type(err.value) is error
+    assert repr(value) in str(err.value)
+
+
+def test_a_pair_of_another_type_is_reported_after_the_pairs_of_ints_which_keep_their_order():
+    pairs = [(2, 1), ("a", 0), (5, 0), (0, 1), (None, 1), (0, 0)]
+    with pytest.raises(InstanceError) as err:
+        validate_matching(MARKET, Matching(pairs))
+    assert str(err.value).splitlines() == [
+        "applicant 0 is matched twice",
+        "applicant 2 does not list institution 1",
+        "pair (5, 0) references a nonexistent agent",
+        "pair (a, 0) references a nonexistent agent",  # other types after the ints, by repr: "'a'" < "None"
+        "pair (None, 1) references a nonexistent agent",
+        "institution 1 holds 2 applicants, capacity 1",
+    ]
+
+
+@pytest.mark.parametrize("prob", [0, 1, 0.3, 1.0])
+def test_a_truncation_probability_may_be_an_int_or_a_float(prob):
+    assert gen_random_market(4, 7, prob).n_applicants == 4

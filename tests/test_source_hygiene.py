@@ -32,13 +32,13 @@ def test_every_imported_name_is_read():
     assert unread == {}
 
 
-def bool_isinstance_calls(tree: ast.Module) -> list[int]:
-    """Lines that call isinstance(x, bool), or with bool in a tuple: the integer rule is spelled type(x) is int."""
+def bool_isinstance_calls(tree: ast.Module, kind: str = "bool") -> list[int]:
+    """Lines that call isinstance(x, kind), or with kind in a tuple: the integer rule is spelled type(x) is int."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
             kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
-            if any(getattr(k, "id", None) == "bool" for k in kinds):
+            if any(getattr(k, "id", None) == kind for k in kinds):
                 lines.append(node.lineno)
     return lines
 
@@ -48,5 +48,14 @@ def test_no_module_spells_the_integer_rule_with_isinstance_bool():
         path.name: lines
         for path in sorted(SRC.glob("*.py"))
         if (lines := bool_isinstance_calls(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert found == {}
+
+
+def test_no_module_spells_the_integer_rule_with_isinstance_int():
+    found = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if (lines := bool_isinstance_calls(ast.parse(path.read_text(encoding="utf-8")), "int"))
     }
     assert found == {}

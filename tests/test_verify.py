@@ -141,3 +141,9 @@ def test_run_all_uses_one_pool_and_routes_failures_to_their_suites(monkeypatch):
         assert {f.expectation for f in r.failures} == {f"trial {t}" for t in ts}
         assert all(f.instance.startswith(f"synthetic {r.suite} ") for f in r.failures)
         assert list(r.failures) == sorted(r.failures, key=lambda f: (f.instance, f.expectation, f.observed))
+
+
+def test_the_exhaustive_strategyproofness_sweep_runs_every_true_list_and_reports_ok(monkeypatch):
+    monkeypatch.setenv("MDM_NO_PARALLEL", "1")
+    report = verify.run_suite("strategyproofness", trials="exhaustive")
+    assert (report.suite, report.trials, report.failures) == ("strategyproofness", 4 * 65, ())
