@@ -160,12 +160,12 @@ class MechanismView:
     menu: Callable[[tuple], Hashable]
 
 
+def _is_vertex_id(x: object) -> bool:
+    return isinstance(x, tuple) and len(x) == 2 and all(type(v) is int for v in x)
+
+
 def _check_edge(d: ExtensiveFormDescription, layer: int, where: str, target) -> list[str]:
-    if not (
-        isinstance(target, tuple)
-        and len(target) == 2
-        and all(type(x) is int for x in target)
-    ):
+    if not _is_vertex_id(target):
         return [f"{where} targets {target!r}, not a (layer, index) pair"]
     if layer + 1 >= len(d.layers):
         return [f"{where} leaves the final layer"]
@@ -235,7 +235,9 @@ def validate_description(d: ExtensiveFormDescription) -> None:
             problems.append(f"layer {li} is empty")
     if len(d.layers[0]) != 1:
         problems.append("the first layer must contain exactly the source vertex")
-    if d.source[0] != 0 or not 0 <= d.source[1] < len(d.layers[0]):
+    if not _is_vertex_id(d.source):
+        problems.append(f"source {d.source!r} is not a (layer, index) pair")
+    elif d.source[0] != 0 or not 0 <= d.source[1] < len(d.layers[0]):
         problems.append(f"source {d.source!r} is not a vertex of layer 0")
     for li, layer in enumerate(d.layers):
         for idx, v in enumerate(layer):
@@ -253,7 +255,13 @@ def _step(v: Vertex, types, vid: VertexId) -> VertexId:
             f"vertex {vid[0]}:{vid[1]} queries player {v.player} but the profile has no such type"
         ) from None
     if v.query.kind == "rank":
-        seq = tuple(ans)
+        try:
+            seq = tuple(ans)
+        except TypeError:
+            raise DescriptionError(
+                f"vertex {vid[0]}:{vid[1]} asks for list position {v.query.arg} "
+                f"but player {v.player}'s type {ans!r} is not a sequence"
+            ) from None
         ans = seq[v.query.arg] if v.query.arg < len(seq) else END_OF_LIST
     if ans not in v.table:
         raise DescriptionError(f"vertex {vid[0]}:{vid[1]} got answer {ans!r} outside its table")

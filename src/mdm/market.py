@@ -352,11 +352,12 @@ def _require_unit(p: Profile) -> None:
 
 def validate_matching(p: Profile, m: Matching) -> None:
     """Raise InstanceError if m is not a valid (possibly partial) matching for p."""
-    problems: list[str] = []
+    pairs = {entry for entry in m.pairs if isinstance(entry, tuple) and len(entry) == 2}
+    problems = [f"entry {e!r} is not an (applicant, institution) pair" for e in sorted(m.pairs - pairs, key=repr)]
     seen_applicants: set[int] = set()
     load: dict[int, int] = {}
     # Ints sort by value and any other entry after them by its repr, so no two entries of different types compare.
-    for d, h in sorted(m.pairs, key=lambda pair: [(0, x) if type(x) is int else (1, repr(x)) for x in pair]):
+    for d, h in sorted(pairs, key=lambda pair: [(0, x) if type(x) is int else (1, repr(x)) for x in pair]):
         if not (_is_index(d, p.n_applicants) and _is_index(h, p.n_institutions)):
             problems.append(f"pair ({d}, {h}) references a nonexistent agent")
             continue

@@ -303,15 +303,16 @@ def ipda(
     return _on_transposed(apda, p, policy, log)
 
 
-def _next_accepting(
-    p: Profile, mu_d: dict[int, int], nxt: list[int], h: int, log: QueryLog | None, capture: int | None = None
-) -> int | None:
+def _next_accepting(p: Profile, mu_d: dict[int, int], nxt: list[int], h: int, log: QueryLog | None,
+                    capture: int | None = None, nodes: dict[int, tuple[int, int | None]] | None = None) -> int | None:
     """Advance h down its priority list to the next applicant who would accept it.
 
-    An applicant accepts h if she lists it above her current assignment in
-    mu_d; being unmatched is below any listed institution. The capture
-    applicant, whose list must be empty, takes h unconditionally: the scan
-    stops one past her and returns her, and her rank lookup is not logged.
+    An applicant accepts h if she lists it above her reservation: the
+    fallback of her node in nodes (an unroll DAG's node_of) when she has
+    one, else her current assignment in mu_d; being unmatched is below any
+    listed institution. The capture applicant, whose list must be empty,
+    takes h unconditionally: the scan stops one past her and returns her,
+    and her rank lookup is not logged.
     """
     prios = p.institution_prios[h]
     rank = p.applicant_rank
@@ -326,7 +327,7 @@ def _next_accepting(
         rank_d = rank[d]
         r = rank_d.get(h)
         if r is not None:
-            cur = mu_d.get(d)
+            cur = mu_d.get(d) if nodes is None or (node := nodes.get(d)) is None else node[1]
             if cur is None or r < rank_d[cur]:
                 nxt[h] = k
                 return d
@@ -440,7 +441,9 @@ def receiver_optimal(
     institution-proposing run (_propose, the loop menu_da_plan's capture run
     shares), then by letting institutions keep proposing below their current
     match, recording the resulting rejection chains in a list V and writing
-    each closed chain back as a rotation. The flipped form returns the
+    each closed chain back as a rotation. Both phases walk a list with one
+    scan (_next_accepting), which menu_da_plan's drain also uses, with its
+    unroll DAG's fallbacks as reservations. The flipped form returns the
     institution-optimal matching while reading applicant lists in rank order.
     """
     validate_profile(p)

@@ -25,7 +25,9 @@ Engines and oracles:
 
 The plan runs receiver_optimal's proposing loop (mdm.mechanisms._propose)
 with the applicant in its capture slot: an institution reaching her stops
-there, its pointer one past her, until the drain moves it on.
+there, its pointer one past her, until the drain moves it on. The drain
+uses the loop's scan (_next_accepting) too, with the DAG's fallbacks as
+reservations.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from typing import Iterable, Sequence
 from mdm import MECHANISM_TAGS
 from mdm.market import (
     APPLICANT,
-    INSTITUTION,
     InstanceError,
     Matching,
     Profile,
@@ -47,6 +48,7 @@ from mdm.market import (
 from mdm.mechanisms import (
     CyclePolicy,
     QueryLog,
+    _next_accepting,
     _propose,
     _ttc_rounds,
     apda,
@@ -476,26 +478,7 @@ def _next_interested(
     fallback institution, not against her tentative match: if the chain
     through her is unrolled, the fallback is what she ends up with.
     """
-    prios = q.institution_prios[h]
-    rank = q.applicant_rank
-    for k in range(nxt[h], len(prios)):
-        d = prios[k]
-        if log is not None:
-            log.read(INSTITUTION, h, k, d)
-            if d != i:  # i's rank lookup is not logged
-                log.lookup(APPLICANT, d, h)
-        r = rank[d].get(h)
-        if r is not None:
-            node = dag.node_of.get(d)
-            reservation = node[1] if node is not None else mu.get(d)
-            if reservation is None or r < rank[d][reservation]:
-                nxt[h] = k + 1
-                return d
-        elif d == i:
-            nxt[h] = k + 1
-            return i
-    nxt[h] = len(prios)
-    return None
+    return _next_accepting(q, mu, nxt, h, log, i, dag.node_of)
 
 
 def menu_da_plan(i: int, p: Profile, log: QueryLog | None = None) -> MenuPlan:

@@ -1,5 +1,6 @@
 """Every message of validate_description, and the structural clause-(b) failures of check_menu_description,
-each on one malformed description, with its exact text."""
+each on one malformed description, with its exact text; and evaluate's message for a type a rank query cannot
+read."""
 
 import pytest
 
@@ -11,6 +12,7 @@ from mdm.descriptions import (
     Query,
     Vertex,
     check_menu_description,
+    evaluate,
     validate_description,
 )
 
@@ -35,6 +37,15 @@ MALFORMED = {
     ),
     "source outside layer 0": (
         ExtensiveFormDescription(((SINK,),), source=(0, 1)), "source (0, 1) is not a vertex of layer 0",
+    ),
+    "source of one index": (
+        ExtensiveFormDescription(((SINK,),), source=(0,)), "source (0,) is not a (layer, index) pair",
+    ),
+    "source with a string index": (
+        ExtensiveFormDescription(((SINK,),), source=(0, "x")), "source (0, 'x') is not a (layer, index) pair",
+    ),
+    "source of three indices": (
+        ExtensiveFormDescription(((SINK,),), source=(0, 0, 0)), "source (0, 0, 0) is not a (layer, index) pair",
     ),
     "target not a pair": (two_layers(Vertex(succ=(1,))), "vertex 0:0 targets (1,), not a (layer, index) pair"),
     "target of floats": (
@@ -97,6 +108,16 @@ def test_each_malformed_description_reports_its_one_problem(case):
         validate_description(d)
     assert type(err.value) is DescriptionError
     assert err.value.diagnostics == (text,)
+
+
+@pytest.mark.parametrize("kind", [5, None], ids=repr)
+def test_a_rank_query_on_a_type_that_is_not_a_sequence_names_the_vertex_and_the_type(kind):
+    d = two_layers(ask(query=Query("rank", (0,), 0)))
+    validate_description(d)
+    with pytest.raises(DescriptionError) as err:
+        evaluate(d, (kind,))
+    assert type(err.value) is DescriptionError
+    assert str(err.value) == f"vertex 0:0 asks for list position 0 but player 0's type {kind!r} is not a sequence"
 
 
 def test_every_problem_of_a_description_is_reported_at_once():

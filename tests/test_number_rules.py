@@ -15,7 +15,7 @@ from mdm.descriptions import (
     validate_description,
 )
 from mdm.generators import BitProbeParams, gen_random_market
-from mdm.market import InstanceError, Matching, Profile, validate_matching
+from mdm.market import InstanceError, Matching, Profile, blocking_pairs, validate_matching
 from mdm.mechanisms import serial_dictatorship
 from mdm.menus import menu_da, menu_sd
 from mdm.verify import run_suite
@@ -112,8 +112,9 @@ def _asking(player: object = 0, kind: str = "scalar-value", arg: object = None) 
     return Vertex(player=player, query=Query(kind, (0,), arg), table={0: (1, 0)})
 
 
-# (error type, call on the bad value, bad value): every count, picking order and probability a library
-# caller passes, each of which the hand-written checks let through or let escape as a TypeError.
+# (error type, call on the bad value, bad value): every count, picking order, probability and matching entry
+# a library caller passes, each of which the hand-written checks let through or let escape as a TypeError
+# or ValueError.
 BAD_NUMBERS = {
     "sd order holding a bool": (InstanceError, lambda x: serial_dictatorship(MARKET, (0, x, 2)), True),
     "sd order holding a float": (InstanceError, lambda x: serial_dictatorship(MARKET, (x, 1, 2)), 0.0),
@@ -137,6 +138,11 @@ BAD_NUMBERS = {
     "rank query at position 0.5": (
         DescriptionError, lambda x: validate_description(_one_step(_asking(kind="rank", arg=x))), 0.5,
     ),
+    "matching entry of one index": (InstanceError, lambda x: validate_matching(MARKET, Matching([x])), (0,)),
+    "matching entry of three indices": (InstanceError, lambda x: validate_matching(MARKET, Matching([x])), (0, 0, 0)),
+    "matching entry that is an int": (InstanceError, lambda x: validate_matching(MARKET, Matching([x])), 5),
+    "blocking pairs of a one-index entry": (InstanceError, lambda x: blocking_pairs(MARKET, Matching([x])), (0,)),
+    "blocking pairs of an int entry": (InstanceError, lambda x: blocking_pairs(MARKET, Matching([x])), 5),
 }
 
 

@@ -1,4 +1,5 @@
-"""Source hygiene beside the 120-column check: no module imports a name it never reads."""
+"""Source hygiene beside the 120-column check: no module imports a name it never reads, the integer rule is
+never spelled with isinstance, and one function scans institution lists."""
 
 import ast
 from pathlib import Path
@@ -59,3 +60,25 @@ def test_no_module_spells_the_integer_rule_with_isinstance_int():
         if (lines := bool_isinstance_calls(ast.parse(path.read_text(encoding="utf-8")), "int"))
     }
     assert found == {}
+
+
+def institution_read_lines(tree: ast.Module) -> list[int]:
+    """Lines that call log.read(INSTITUTION, ...): each is a scan down an institution's priority list."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "read"
+        and node.args
+        and getattr(node.args[0], "id", None) == "INSTITUTION"
+    ]
+
+
+def test_one_function_logs_an_institution_side_read():
+    # The capture run, the plan's drain and the chain phase share one scan down an institution's list.
+    found = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if (lines := institution_read_lines(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert sum(map(len, found.values())) == 1, found

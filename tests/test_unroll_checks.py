@@ -20,6 +20,7 @@ import pytest
 from oracles import menu_da_plan_reference, unroll_dag_check_reference
 
 from mdm.generators import gen_random_market
+from mdm.market import Profile
 from mdm.mechanisms import QueryLog
 from mdm.menus import UnrollDag, _hold_run, _next_interested, menu_da_plan
 
@@ -347,3 +348,13 @@ def test_drain_matches_the_drain_with_a_branch_for_new_nodes():
             assert plan_fields(menu_da_plan(i, p, got), got) == plan_fields(
                 menu_da_plan_reference(i, p, want), want
             ), (n, trunc, seed, i)
+
+
+def test_an_applicant_with_a_node_is_offered_against_its_fallback_even_when_her_match_is_stale():
+    # Applicant 1 ranks institutions 1 > 0 > 2, and every institution lists only her. Her node falls back
+    # to 1, which she prefers to 0, while mu has her at 2, which she does not: only the node counts.
+    q = Profile(("i", "d"), ("h", "f", "c"), ((), (1, 0, 2)), ((1,), (1,), (1,)))
+    dag = UnrollDag(0)
+    dag.add_node(1, 1)
+    assert _next_interested(q, 0, {1: 2}, dag, [0, 0, 0], 0, None) is None
+    assert _next_interested(q, 0, {1: 2}, UnrollDag(0), [0, 0, 0], 0, None) == 1
