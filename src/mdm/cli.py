@@ -65,7 +65,7 @@ _FAMILIES = (
 
 # Names of mdm.auctions that __getattr__ loads on first use. The auction branches look them
 # up through _this, the module object, so that a name bound here (a test's patch) wins.
-_AUCTIONS = ("AuctionOutcome", "parse_auction", "serialize_auction", "spa_outcome", "vcg_additive", "vcg_unit_demand")
+_AUCTIONS = ("parse_auction", "serialize_auction", "spa_outcome", "vcg_additive", "vcg_unit_demand")
 _this = sys.modules[__name__]
 
 
@@ -126,25 +126,10 @@ def _matching_payload(p: Profile, mu: Matching) -> dict[str, object]:
     return {"matched": matched, "unmatched": unmatched}
 
 
-def _matching_text(payload: dict[str, object]) -> str:
+def _matching_lines(payload: dict[str, object]) -> list[str]:
+    """A matching payload's lines, for solve and describe: each matched pair by applicant name, then the unmatched."""
     lines = [f"{d} -> {h}" for d, h in sorted(payload["matched"].items())]
-    lines += [f"{d} unmatched" for d in payload["unmatched"]]
-    return "\n".join(lines) + "\n" if lines else "(empty market)\n"
-
-
-def _auction_payload(out: AuctionOutcome) -> dict[str, object]:
-    return {
-        "allocation": [sorted(items) for items in out.allocation],
-        "prices": list(out.prices),
-    }
-
-
-def _auction_text(payload: dict[str, object]) -> str:
-    lines = []
-    for i, (items, price) in enumerate(zip(payload["allocation"], payload["prices"])):
-        won = ", ".join(str(j) for j in items) if items else "nothing"
-        lines.append(f"bidder {i}: wins {won}, pays {price}")
-    return "\n".join(lines) + "\n"
+    return lines + [f"{d} unmatched" for d in payload["unmatched"]]
 
 
 def _emit(payload: object, fmt: str, text: str) -> None:
@@ -167,7 +152,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         else:
             mu = receiver_optimal(p, args.proposing)
         payload = {"mechanism": mech, **_matching_payload(p, mu)}
-        _emit(payload, args.format, _matching_text(payload))
+        lines = _matching_lines(payload)
+        _emit(payload, args.format, "\n".join(lines) + "\n" if lines else "(empty market)\n")
         return 0
     if mech in _AUCTION_MECHANISMS:
         v = _this.parse_auction(raw)
@@ -181,8 +167,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
             _at_most("vcg-unit-demand bidders", v.n_bidders, _MAX_UNIT_DEMAND_SIDE)
             _at_most("vcg-unit-demand items", v.n_items, _MAX_UNIT_DEMAND_SIDE)
             out = _this.vcg_unit_demand(v)
-        payload = {"mechanism": mech, **_auction_payload(out)}
-        _emit(payload, args.format, _auction_text(payload))
+        allocation = [sorted(items) for items in out.allocation]
+        text = "".join(
+            f"bidder {i}: wins {', '.join(map(str, items)) or 'nothing'}, pays {price}\n"
+            for i, (items, price) in enumerate(zip(allocation, out.prices))
+        )
+        _emit({"mechanism": mech, "allocation": allocation, "prices": list(out.prices)}, args.format, text)
         return 0
     from mdm.voting import median_outcome, parse_votes
 
@@ -261,10 +251,7 @@ def cmd_describe(args: argparse.Namespace) -> int:
     menu = sorted(p.institution_names[h] for h in menu_from_matching(i, p, without))
     lines = [f"Menu description for {name}", ""]
     lines.append("If your preference list is ignored, institutions propose and the others end up matched as:")
-    for d, h in sorted(hypothetical["matched"].items()):
-        lines.append(f"  {d} -> {h}")
-    for d in hypothetical["unmatched"]:
-        lines.append(f"  {d} unmatched")
+    lines += [f"  {line}" for line in _matching_lines(hypothetical)]
     lines.append("")
     if menu:
         lines.append("You have earned admission at: " + ", ".join(menu) + ".")
@@ -314,9 +301,9 @@ def _gen_instance(args: argparse.Namespace) -> tuple[str, dict[str, object]]:
     )
 
     family = args.family
+    if family in ("random", "cycle-grid") and args.n is None:
+        raise InstanceError(f"--n is required for the {family} family")
     if family == "random":
-        if args.n is None:
-            raise InstanceError("--n is required for the random family")
         p = gen_random_market(args.n, args.seed, args.truncation_prob)
         meta: dict[str, object] = {
             "family": family,
@@ -326,8 +313,6 @@ def _gen_instance(args: argparse.Namespace) -> tuple[str, dict[str, object]]:
         }
         return serialize_instance(p), meta
     if family == "cycle-grid":
-        if args.n is None:
-            raise InstanceError("--n is required for the cycle-grid family")
         k = args.n // 4
         subsets, truncate = ((),) * k, (False,) * k
         if args.subsets is not None:

@@ -116,7 +116,8 @@ class ExtensiveFormDescription:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "layers", tuple(tuple(l) for l in self.layers))
-        object.__setattr__(self, "source", tuple(self.source))
+        if isinstance(self.source, (list, tuple)):  # any other source stays as given, for validate_description
+            object.__setattr__(self, "source", tuple(self.source))
 
     def vertex(self, vid: VertexId) -> Vertex:
         return self.layers[vid[0]][vid[1]]

@@ -260,19 +260,25 @@ class Matching(_Frozen):
 
     @cached_property
     def by_applicant(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for d, h in self.pairs:
-            if d in out:
-                raise InstanceError(f"applicant {d} is matched twice")
-            out[d] = h
+        try:
+            out = dict(self.pairs)
+        except (TypeError, ValueError):  # an entry that does not unpack into two
+            raise InstanceError("\n".join(_split_pairs(self.pairs)[1])) from None
+        if len(out) < len(self.pairs):  # name the first applicant met a second time
+            seen: set[int] = set()
+            d = next(d for d, _ in self.pairs if d in seen or seen.add(d))
+            raise InstanceError(f"applicant {d} is matched twice")
         return out
 
     @cached_property
     def by_institution(self) -> dict[int, tuple[int, ...]]:
         """Occupants per institution, sorted by applicant index."""
         out: dict[int, list[int]] = {}
-        for d, h in self.pairs:
-            out.setdefault(h, []).append(d)
+        try:
+            for d, h in self.pairs:
+                out.setdefault(h, []).append(d)
+        except (TypeError, ValueError):  # an entry that does not unpack into two
+            raise InstanceError("\n".join(_split_pairs(self.pairs)[1])) from None
         return {h: tuple(sorted(ds)) for h, ds in out.items()}
 
     def institution_of(self, applicant: int) -> int | None:
@@ -350,10 +356,15 @@ def _require_unit(p: Profile) -> None:
         raise InstanceError("this operation requires capacity 1 everywhere")
 
 
+def _split_pairs(entries: frozenset) -> tuple[set, list[str]]:
+    """A matching's entries that are (applicant, institution) pairs, and a problem naming each other one, by repr."""
+    pairs = {entry for entry in entries if isinstance(entry, tuple) and len(entry) == 2}
+    return pairs, [f"entry {e!r} is not an (applicant, institution) pair" for e in sorted(entries - pairs, key=repr)]
+
+
 def validate_matching(p: Profile, m: Matching) -> None:
     """Raise InstanceError if m is not a valid (possibly partial) matching for p."""
-    pairs = {entry for entry in m.pairs if isinstance(entry, tuple) and len(entry) == 2}
-    problems = [f"entry {e!r} is not an (applicant, institution) pair" for e in sorted(m.pairs - pairs, key=repr)]
+    pairs, problems = _split_pairs(m.pairs)
     seen_applicants: set[int] = set()
     load: dict[int, int] = {}
     # Ints sort by value and any other entry after them by its repr, so no two entries of different types compare.

@@ -107,14 +107,8 @@ class VerificationReport:
         return not self.failures
 
     def as_dict(self) -> dict[str, object]:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "seed": self.seed,
-            "failures": [asdict(f) for f in self.failures],
-            "wall_time": round(self.wall_time, 3),
-            "ok": self.ok,
-        }
+        doc = asdict(self)
+        return {**doc, "failures": list(doc["failures"]), "wall_time": round(self.wall_time, 3), "ok": self.ok}
 
     def summary(self) -> str:
         verdict = "ok" if self.ok else f"{len(self.failures)} failure(s)"
@@ -212,15 +206,14 @@ def _stability_trial(size: int, seed: int, t: int) -> list[Failure]:
 
 # Pinned 4x4 market for the exhaustive strategyproofness sweep: priorities
 # and the other applicants' lists stay fixed while one applicant ranges over
-# every strict partial list as truth and every other one as misreport.
-_SP_PRIOS = ((0, 1, 2, 3), (1, 3, 0, 2), (2, 0, 3, 1), (3, 2, 1, 0))
-_SP_PREFS = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 0, 1))
-
-
-def _sp_base_market() -> Profile:
-    names_d = tuple(f"d{i}" for i in range(4))
-    names_h = tuple(f"h{j}" for j in range(4))
-    return Profile(names_d, names_h, _SP_PREFS, _SP_PRIOS)
+# every strict partial list as truth and every other one as misreport. Built
+# once, so its validation pass and rank tables serve every trial in a process.
+_SP_MARKET = Profile(
+    ("d0", "d1", "d2", "d3"),
+    ("h0", "h1", "h2", "h3"),
+    ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 0, 1)),
+    ((0, 1, 2, 3), (1, 3, 0, 2), (2, 0, 3, 1), (3, 2, 1, 0)),
+)
 
 
 def _check_deviations(
@@ -260,7 +253,7 @@ def _strategyproofness_exhaustive_trial(size: int, seed: int, t: int) -> list[Fa
     del size, seed  # the sweep is fully pinned
     lists = all_lists(4)
     i, true = divmod(t, len(lists))
-    return _check_deviations(_sp_base_market(), i, lists[true], lists)
+    return _check_deviations(_SP_MARKET, i, lists[true], lists)
 
 
 def _rural_trial(size: int, seed: int, t: int) -> list[Failure]:
@@ -346,12 +339,8 @@ def _assignment_value(v: ValuationMatrix, assignment: tuple[int | None, ...]) ->
 
 def _brute_welfare(v: ValuationMatrix) -> int:
     """Best assignment value by enumerating padded item permutations."""
-    nb, m = v.n_bidders, v.n_items
-    slots = list(range(m)) + [None] * nb
-    best = 0
-    for pick in itertools.permutations(slots, nb):
-        best = max(best, sum(v.values[i][j] for i, j in enumerate(pick) if j is not None))
-    return best
+    slots = list(range(v.n_items)) + [None] * v.n_bidders
+    return max(_assignment_value(v, pick) for pick in itertools.permutations(slots, v.n_bidders))
 
 
 def _auctions_fixed_checks(problems: list[Problem]) -> None:

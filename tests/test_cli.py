@@ -451,3 +451,23 @@ def test_solve_vcg_additive_with_a_string_bound_exits_2_with_one_line(tmp_path, 
     code, out, err = run(capsys, "solve", "--mechanism", "vcg-additive", str(path))
     assert (code, out) == (2, "")
     assert err == "error: K: must be a nonnegative integer, got '3'\n"
+
+
+def test_solve_text_on_a_market_without_applicants_prints_the_empty_market_line(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"applicants": [], "institutions": [{"name": "h", "prios": []}]}))
+    assert run(capsys, "solve", "--mechanism", "apda", "--format", "text", str(path)) == (0, "(empty market)\n", "")
+
+
+def test_describe_for_a_lone_applicant_prints_no_matching_line(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    lone = {"applicants": [{"name": "a", "prefs": ["h"]}], "institutions": [{"name": "h", "prios": ["a"]}]}
+    path.write_text(json.dumps(lone))
+    code, out, _ = run(capsys, "describe", "--applicant", "a", str(path))
+    assert code == 0
+    assert out.splitlines()[:4] == [
+        "Menu description for a",
+        "",
+        "If your preference list is ignored, institutions propose and the others end up matched as:",
+        "",
+    ]

@@ -146,3 +146,10 @@ def test_a_description_without_a_menu_layer_on_player_i_fails_clause_b_with_no_w
     with pytest.raises(MenuDescriptionError) as err:
         check_menu_description(d, NOBODY, 0, [(0, 0)])
     assert (err.value.clause, err.value.witness, str(err.value)) == ("b", None, text)
+
+
+def test_a_source_that_is_not_a_sequence_is_reported_not_raised_at_construction():
+    d = ExtensiveFormDescription(((SINK,),), source=5)
+    with pytest.raises(DescriptionError) as err:
+        validate_description(d)
+    assert err.value.diagnostics == ("source 5 is not a (layer, index) pair",)

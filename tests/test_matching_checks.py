@@ -97,3 +97,19 @@ def test_receiver_optimal_refuses_an_unknown_proposing_side():
     with pytest.raises(InstanceError) as err:
         receiver_optimal(_one_institution(1), "bidders")
     assert str(err.value) == "unknown proposing side 'bidders'"
+
+
+@pytest.mark.parametrize("entry", [5, (0,), (0, 0, 0)], ids=repr)
+@pytest.mark.parametrize("view", ["by_applicant", "by_institution"])
+def test_a_matching_names_an_entry_that_is_not_a_pair(entry, view):
+    with pytest.raises(InstanceError) as err:
+        getattr(Matching([(1, 1), entry]), view)
+    assert str(err.value) == f"entry {entry!r} is not an (applicant, institution) pair"
+
+
+def test_a_menu_read_off_a_matching_names_an_entry_that_is_not_a_pair():
+    from mdm.menus import menu_from_matching
+
+    with pytest.raises(InstanceError) as err:
+        menu_from_matching(0, _one_institution(1), Matching([5]))
+    assert str(err.value) == "entry 5 is not an (applicant, institution) pair"

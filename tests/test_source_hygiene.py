@@ -82,3 +82,38 @@ def test_one_function_logs_an_institution_side_read():
         if (lines := institution_read_lines(ast.parse(path.read_text(encoding="utf-8"))))
     }
     assert sum(map(len, found.values())) == 1, found
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level private functions and constants (one leading underscore, not dunder), with their lines."""
+    found: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        found.update((name, node.lineno) for name in names if name.startswith("_") and not name.startswith("__"))
+    return found
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Names the module loads, as a bare name or as an attribute of something else."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) or isinstance(node, ast.Attribute)
+    }
+
+
+def test_every_private_function_and_constant_is_read():
+    # A helper folded into its one caller must not stay behind as unused code.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    read = set().union(*map(read_names, trees.values()))
+    unread = {
+        name: [f"{n} (line {line})" for n, line in private_definitions(tree).items() if n not in read]
+        for name, tree in trees.items()
+    }
+    assert {name: names for name, names in unread.items() if names} == {}

@@ -147,3 +147,28 @@ def test_the_exhaustive_strategyproofness_sweep_runs_every_true_list_and_reports
     monkeypatch.setenv("MDM_NO_PARALLEL", "1")
     report = verify.run_suite("strategyproofness", trials="exhaustive")
     assert (report.suite, report.trials, report.failures) == ("strategyproofness", 4 * 65, ())
+
+
+def test_the_exhaustive_sweep_validates_its_market_once(monkeypatch):
+    import mdm.market
+
+    calls = []
+    real = mdm.market._profile_problems
+    monkeypatch.setattr(mdm.market, "_profile_problems", lambda p: calls.append(p) or real(p))
+    monkeypatch.setenv("MDM_NO_PARALLEL", "1")
+    assert verify.run_suite("strategyproofness", trials="exhaustive").ok
+    assert len(calls) <= 1
+
+
+def test_a_report_as_a_dict_keeps_its_fields_in_order_with_failures_as_a_list():
+    failure = verify.Failure("market", "expected", "observed")
+    doc = verify.VerificationReport("voting", 3, 7, (failure,), 1.23456).as_dict()
+    assert list(doc) == ["suite", "trials", "seed", "failures", "wall_time", "ok"]
+    assert doc == {
+        "suite": "voting",
+        "trials": 3,
+        "seed": 7,
+        "failures": [{"instance": "market", "expectation": "expected", "observed": "observed"}],
+        "wall_time": 1.235,
+        "ok": False,
+    }
