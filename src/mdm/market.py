@@ -261,8 +261,10 @@ class Matching(_Frozen):
     @cached_property
     def by_applicant(self) -> dict[int, int]:
         try:
+            if not all(map(tuple.__instancecheck__, self.pairs)):  # one pass in C: "ab" unpacks into two too
+                raise TypeError
             out = dict(self.pairs)
-        except (TypeError, ValueError):  # an entry that does not unpack into two
+        except (TypeError, ValueError):  # an entry that is not a pair
             raise InstanceError("\n".join(_split_pairs(self.pairs)[1])) from None
         if len(out) < len(self.pairs):  # name the first applicant met a second time
             seen: set[int] = set()
@@ -275,9 +277,11 @@ class Matching(_Frozen):
         """Occupants per institution, sorted by applicant index."""
         out: dict[int, list[int]] = {}
         try:
+            if not all(map(tuple.__instancecheck__, self.pairs)):  # one pass in C: "ab" unpacks into two too
+                raise TypeError
             for d, h in self.pairs:
                 out.setdefault(h, []).append(d)
-        except (TypeError, ValueError):  # an entry that does not unpack into two
+        except (TypeError, ValueError):  # an entry that is not a pair
             raise InstanceError("\n".join(_split_pairs(self.pairs)[1])) from None
         return {h: tuple(sorted(ds)) for h, ds in out.items()}
 

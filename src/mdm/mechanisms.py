@@ -462,12 +462,14 @@ def receiver_optimal(
 
 
 def expand_many_to_one(p: Profile) -> tuple[Profile, tuple[int, ...]]:
-    """Split each institution of capacity c into c unit-capacity copies.
+    """Split each institution of capacity c into min(c, max(1, list length)) unit-capacity copies.
 
-    Copies share the original priority list; each applicant's list replaces an
-    institution with its copies in ascending copy order. Returns the expanded
-    profile and a map from expanded institution index to original index.
-    Profiles that already have unit capacities expand to themselves.
+    No more seats can be filled than the priority list is long, so the stable
+    matchings fold back the same (Roth & Sotomayor 1990, ch. 5). Copies share
+    the original priority list; each applicant's list replaces an institution
+    with its copies in ascending copy order. Returns the expanded profile and a
+    map from expanded institution index to original index. Profiles that
+    already have unit capacities expand to themselves.
     """
     validate_profile(p)
     if p.unit_capacity:
@@ -478,7 +480,7 @@ def expand_many_to_one(p: Profile) -> tuple[Profile, tuple[int, ...]]:
     copies: dict[int, list[int]] = {}
     for h, name in enumerate(p.institution_names):
         cap = p.capacities[h]
-        for j in range(cap):
+        for j in range(min(cap, max(1, len(p.institution_prios[h])))):
             copies.setdefault(h, []).append(len(names))
             names.append(name if cap == 1 else f"{name}@{j + 1}")
             prios.append(p.institution_prios[h])

@@ -3,15 +3,16 @@
 Each suite re-derives the same quantity along two independent routes over a
 stream of generated instances and reports every disagreement together with
 the instance that produced it.  A run is deterministic given (suite, size,
-trials, seed).  Trials run in chunks of at least 64, and each call (``run_all``
-included) maps every chunk of its suites over one process pool, or runs them in
-process for a single chunk or with MDM_NO_PARALLEL=1; a pool's start-up costs
-more than a suite of 64 small trials.  A report's ``wall_time`` is the
-summed time of its chunks, each timed where it ran; all else is identical.
+trials, seed).  Each call (``run_all`` included) puts the trials of all its
+suites in one list, mapped over one process pool in chunks of at least 64 only
+if it fills two chunks, on more than one CPU, without MDM_NO_PARALLEL=1 (a pool
+costs more to start than 64 small trials).  A report's ``wall_time`` sums its
+trials' times, each timed where it ran; all else is identical.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import random
@@ -510,39 +511,24 @@ class _Job(NamedTuple):
     seed: int
 
 
-def _run_chunk(args: tuple[str, int, int, int, int]) -> tuple[list[Failure], float]:
-    name, size, seed, start, stop = args
-    fn = _TRIALS[name]
+def _run_trial(task: tuple[str, int, int, int]) -> tuple[list[Failure], float]:
     began = time.perf_counter()
-    failures: list[Failure] = []
-    for t in range(start, stop):
-        failures.extend(fn(size, seed, t))
-    return failures, time.perf_counter() - began
+    return _TRIALS[task[0]](*task[1:]), time.perf_counter() - began  # the trial runs before the clock is read
 
 
 def _run_jobs(jobs: list[_Job]) -> list[VerificationReport]:
-    """Run every trial chunk of every job on one process pool; one report per job."""
-    chunks, owner = [], []
-    for k, job in enumerate(jobs):
-        step = max(64, -(-job.trials // 16))
-        for start in range(0, job.trials, step):
-            chunks.append((job.trial, job.size, job.seed, start, min(start + step, job.trials)))
-            owner.append(k)
-    workers = min(len(chunks), os.cpu_count() or 1)
-    if workers <= 1 or os.environ.get("MDM_NO_PARALLEL") == "1":
-        results = [_run_chunk(c) for c in chunks]
-    else:
-        with ProcessPoolExecutor(workers) as pool:
-            results = list(pool.map(_run_chunk, chunks))
-    failures: list[list[Failure]] = [[] for _ in jobs]
-    seconds = [0.0] * len(jobs)
-    for k, (batch, elapsed) in zip(owner, results):
-        failures[k].extend(batch)
-        seconds[k] += elapsed
-    return [
-        VerificationReport(job.suite, job.trials, job.seed, tuple(sorted(f)), secs)
-        for job, f, secs in zip(jobs, failures, seconds)
-    ]
+    """Run every trial of every job, on one process pool if the run fills two chunks; one report per job."""
+    tasks = [(job.trial, job.size, job.seed, t) for job in jobs for t in range(job.trials)]
+    chunk = max(64, -(-len(tasks) // 16))
+    workers = 1 if os.environ.get("MDM_NO_PARALLEL") == "1" else min(len(tasks) // chunk, os.cpu_count() or 1)
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        results = pool.map(_run_trial, tasks, chunksize=chunk) if pool else map(_run_trial, tasks)
+        reports = []
+        for job in jobs:  # each job's report takes its trials' results, the next job.trials of them
+            done = list(itertools.islice(results, job.trials))
+            failures = tuple(sorted(f for batch, _ in done for f in batch))
+            reports.append(VerificationReport(job.suite, job.trials, job.seed, failures, sum(s for _, s in done)))
+    return reports
 
 
 def _job(suite: str, trials: int | str | None, size: int | None, seed: int) -> _Job:

@@ -51,6 +51,12 @@ def test_solve_sd_respects_order(budget_path, capsys):
     assert json.loads(out)["matched"]["d4"] == "h4"
 
 
+def test_solve_sd_with_an_applicant_twice_in_order_exits_2(budget_path, capsys):
+    code, out, err = run(capsys, "solve", "--mechanism", "sd", "--order", "d1,d1,d2,d3", budget_path)
+    assert (code, out) == (2, "")
+    assert "--order must list every applicant exactly once" in err
+
+
 def test_solve_text_format(budget_path, capsys):
     code, out, _ = run(capsys, "solve", "--mechanism", "apda", "--format", "text", budget_path)
     assert code == 0

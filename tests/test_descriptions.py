@@ -244,6 +244,18 @@ def test_export_dot_renders_labels_and_sinks():
     assert "win for $1" in dot
 
 
+def test_export_dot_draws_a_forward_as_a_pass_with_one_edge():
+    d = ExtensiveFormDescription(((Vertex(succ=(1, 0)),), (Vertex(label="end"),)))
+    assert export_dot(d).splitlines() == [
+        "digraph description {",
+        "  rankdir=LR;",
+        '  "0:0" [label="0:0:pass"];',
+        '  "1:0" [shape=box, label="end"];',
+        '  "0:0" -> "1:0";',
+        "}",
+    ]
+
+
 def test_count_induced_functions_small():
     assert count_induced_functions(4) == 2
 

@@ -5,17 +5,20 @@ import pytest
 
 from mdm import auctions, market, voting
 from mdm.auctions import (
+    AuctionOutcome,
     ValuationMatrix,
     max_weight_matching,
     menu_additive,
     menu_unit_demand,
     serialize_auction,
+    spa_outcome,
     vcg_additive,
     vcg_unit_demand,
 )
-from mdm.generators import gen_random_market
+from mdm.generators import BitProbeParams, CycleGridParams, cycle_grid_params, gen_cycle_grid, gen_random_market
 from mdm.market import InstanceError, Profile, validate_profile
-from mdm.menus import complete_from_plan, menu_da_plan
+from mdm.mechanisms import CyclePolicy
+from mdm.menus import complete_from_plan, menu_da_plan, menu_oracle_singleton
 from mdm.voting import VoteProfile, median_menu, median_outcome, serialize_votes
 
 BAD_ENTRIES = ["a", None, 1.0, True]
@@ -71,6 +74,7 @@ def test_complete_from_plan_rejects_a_bad_list(prefs):
         (((1, 9),), 3, "values[0][1]: 9 is outside 0..3"),
         (((1, True),), 3, "values[0][1]: expected an integer, got True"),
         ((), 3, "values: need at least one bidder"),
+        (((),), 1, "values: need at least one item"),
         (((1,),), -1, "K: must be a nonnegative integer, got -1\nvalues[0][0]: 1 is outside 0..-1"),
     ],
 )
@@ -140,6 +144,32 @@ def test_random_markets_are_checked_and_valid(truncation_prob, seed):
     ids=["profile-row", "profile-late-row", "profile-capacities", "matrix", "matrix-row", "votes"],
 )
 def test_a_field_that_is_not_a_list_is_an_instance_error_naming_it(build, text):
+    with pytest.raises(InstanceError) as err:
+        build()
+    assert str(err.value) == text
+
+
+@pytest.mark.parametrize(
+    ("build", "text"),
+    [
+        (lambda: CyclePolicy("x"), "unknown cycle policy 'x'"),
+        (lambda: menu_oracle_singleton("x", 0, small()),
+         "unknown mechanism tag 'x'; expected one of ('sd', 'ttc', 'apda')"),
+        (lambda: AuctionOutcome((frozenset(),), (0, 0)), "allocation and prices must cover the same bidders"),
+        (lambda: AuctionOutcome((frozenset(),), (-1,)), "prices[0]: must be a nonnegative integer, got -1"),
+        (lambda: spa_outcome((3, True)), "bids[1]: must be a nonnegative integer, got True"),
+        (lambda: CycleGridParams(8, ((),), (False, False)),
+         "need one subset and one truncation flag per top cycle (2)"),
+        (lambda: CycleGridParams(8, ((2, 2), ()), (False, False)), "subsets[0]: entries must be distinct"),
+        (lambda: cycle_grid_params(small()), "not a paired-cycles market"),
+        (lambda: cycle_grid_params(gen_cycle_grid(CycleGridParams(4, ((),), (False,))).with_prefs(0, ())),
+         "applicant 0 does not lead with her own institution"),
+        (lambda: BitProbeParams(2, ((0, 1),), (0, 0)), "bits must be a k-by-k matrix"),
+    ],
+    ids=["cycle-policy", "mechanism-tag", "outcome-length", "outcome-price", "bool-bid", "grid-counts",
+         "grid-repeat", "not-a-grid", "grid-lead", "bits-not-square"],
+)
+def test_each_remaining_input_check_names_what_it_rejects(build, text):
     with pytest.raises(InstanceError) as err:
         build()
     assert str(err.value) == text

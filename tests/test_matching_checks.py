@@ -99,7 +99,7 @@ def test_receiver_optimal_refuses_an_unknown_proposing_side():
     assert str(err.value) == "unknown proposing side 'bidders'"
 
 
-@pytest.mark.parametrize("entry", [5, (0,), (0, 0, 0)], ids=repr)
+@pytest.mark.parametrize("entry", [5, (0,), (0, 0, 0), "ab"], ids=repr)
 @pytest.mark.parametrize("view", ["by_applicant", "by_institution"])
 def test_a_matching_names_an_entry_that_is_not_a_pair(entry, view):
     with pytest.raises(InstanceError) as err:

@@ -22,7 +22,7 @@ from oracles import menu_da_plan_reference, unroll_dag_check_reference
 from mdm.generators import gen_random_market
 from mdm.market import Profile
 from mdm.mechanisms import QueryLog
-from mdm.menus import UnrollDag, _hold_run, _next_interested, menu_da_plan
+from mdm.menus import UnrollDag, _collide, _hold_run, _next_interested, menu_da_plan
 
 SMALL_MARKETS = [(n, trunc, seed) for n in range(3, 13) for trunc in (0.0, 0.3, 0.7) for seed in range(10)]
 BIG_MARKETS = [(150, 0.0, 1), (150, 0.0, 2)]
@@ -358,3 +358,78 @@ def test_an_applicant_with_a_node_is_offered_against_its_fallback_even_when_her_
     dag.add_node(1, 1)
     assert _next_interested(q, 0, {1: 2}, dag, [0, 0, 0], 0, None) is None
     assert _next_interested(q, 0, {1: 2}, UnrollDag(0), [0, 0, 0], 0, None) == 1
+
+
+def _pred_into_source(dag, a, b):
+    dag.out[b] = a  # an edge b -> a with its index entry, so only the rule on sources breaks
+    dag.preds[a] = {b}
+
+
+def _cut_edge(dag, a, b):
+    del dag.out[a]
+    del dag.preds[b]
+
+
+def _misindex_node(dag, a, b):
+    dag.node_of[1] = (1, 7)
+
+
+def _unindex_fallback(dag, a, b):
+    dag.by_fallback[3].discard(b)
+
+
+def _index_a_missing_node(dag, a, b):
+    dag.node_of[5] = (5, 2)
+
+
+def _index_a_missing_fallback(dag, a, b):
+    dag.by_fallback.setdefault(7, set()).add((4, 7))
+
+
+def _miscount_sources(dag, a, b):
+    dag.sources = 2
+
+
+def _add_a_second_node(dag, a, b):
+    dag.nodes.add((1, 4))
+
+
+@pytest.mark.parametrize(
+    ("corrupt", "mu", "menu", "step", "why"),
+    [
+        (_pred_into_source, {1: 0, 9: 3}, {0}, False, r"source \(9, 0\) has predecessors"),
+        (lambda dag, a, b: None, {1: 0}, set(), False, r"source \(9, 0\) outside the menu"),
+        (_cut_edge, {1: 0}, {0}, False, r"non-source \(1, 3\) has no predecessors"),
+        (_misindex_node, {1: 0}, {0}, False, "node index broken for applicant 1"),
+        (_unindex_fallback, {1: 0}, {0}, False, r"fallback index misses node \(1, 3\)"),
+        (_index_a_missing_node, {1: 0}, {0}, False, "node index broken for applicant 5"),
+        (_index_a_missing_fallback, {1: 0}, {0}, False, "fallback index does not match the nodes"),
+        (_miscount_sources, {1: 0}, {0}, False, "source count 2 does not match the nodes"),
+        (_add_a_second_node, {1: 0}, {0}, True, "an applicant appears in two nodes"),
+    ],
+    ids=["source-with-predecessor", "source-off-the-menu", "orphan-node", "node-index", "fallback-index",
+         "stale-node-index", "stale-fallback-index", "source-count", "applicant-twice"],
+)
+def test_each_structural_rule_fails_on_a_direct_write_that_breaks_it(corrupt, mu, menu, step, why):
+    # Source (9, 0) -> applicant 1's node (1, 3), checked clean; then one write past the DAG's methods.
+    dag = UnrollDag(9)
+    a = dag.add_source(0)
+    b = dag.add_node(1, 3)
+    dag.add_edge(a, b)
+    dag.check({1: 0}, {b}, 3, {0})  # leaves nothing touched
+    corrupt(dag, a, b)
+    with pytest.raises(AssertionError, match=f"unroll dag invariant violated: {why}"):
+        dag.check(mu, {b} if step else None, 3 if step else None, menu)
+
+
+def test_a_source_is_added_once():
+    dag = UnrollDag(9)
+    dag.add_source(0)
+    with pytest.raises(AssertionError, match=r"duplicate source \(9, 0\)"):
+        dag.add_source(0)
+
+
+def test_an_institution_never_collides_with_its_own_match():
+    q = Profile(("i", "d"), ("h",), ((), (0,)), ((1,),))
+    with pytest.raises(AssertionError, match="institution 0 proposed to its own match 1"):
+        _collide(q, {1: 0}, UnrollDag(0), set(), 1, 0)

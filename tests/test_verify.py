@@ -1,12 +1,13 @@
 """The verify runner: lazily serialized failure instances and one shared process pool."""
 
+import dataclasses
 import multiprocessing
 import os
 
 import pytest
 
 import mdm.verify as verify
-from mdm.auctions import serialize_auction
+from mdm.auctions import ValuationMatrix, serialize_auction
 from mdm.generators import gen_random_market
 from mdm.market import Matching, serialize_instance
 from mdm.voting import serialize_votes
@@ -77,14 +78,133 @@ def _force_plan_completion(monkeypatch, p, i):
     return lambda: {serialize_instance(p.with_prefs(i, rep)) for rep in reps}
 
 
+def _recording(monkeypatch, route, wrong):
+    """Patch a route with wrong(real, n, *args) for its n-th call; return the list of the calls' arguments."""
+    real, calls = getattr(verify, route), []
+    monkeypatch.setattr(verify, route, lambda *a: calls.append(a) or wrong(real, len(calls), *a))
+    return calls
+
+
+def _force_da_route(monkeypatch, p, i):
+    monkeypatch.setattr(verify, "menu_da_applicant_proposing", lambda i, q: frozenset({99}))
+    return lambda: {serialize_instance(p)}
+
+
+def _force_weak_preference(monkeypatch, p, i):
+    """Each applicant's applicant-proposing match, scored first, scores worse than her institution-proposing one."""
+    _recording(monkeypatch, "_score", lambda real, n, true, h: n % 2)
+    return lambda: {serialize_instance(p)}
+
+
+def _force_matched_sets(monkeypatch, p, i):
+    """Every call reads a different matched set, so the two runs disagree."""
+    _recording(monkeypatch, "matched_sets", lambda real, n, mu: (frozenset({n}),))
+    return lambda: {serialize_instance(p)}
+
+
+def _force_plan_menu(monkeypatch, p, i):
+    monkeypatch.setattr(verify, "menu_da", lambda i, q: frozenset({99}))
+    return lambda: {serialize_instance(p)}
+
+
+def _at_first_trial(trial):
+    """The trial at t = 0 whatever t it is given: there the auctions suite also runs its fixed checks."""
+    return lambda size, seed, t: trial(size, seed, 0)
+
+
+def _force_lone_bidder(monkeypatch, p, i):
+    """The lone bidder of the fixed checks pays 1; every other additive VCG is left as it is."""
+    lone = ValuationMatrix(((3, 0, 2),), 5)
+    _recording(monkeypatch, "vcg_additive",
+               lambda real, n, v: dataclasses.replace(real(v), prices=(1,)) if v == lone else real(v))
+    return lambda: {serialize_auction(lone)}
+
+
+def _force_spa_tie(monkeypatch, p, i):
+    """The fixed checks' tie, the first second-price auction of the trial, goes to bidder 0."""
+    _recording(monkeypatch, "spa_outcome", lambda real, n, bids: real((7, 7, 4) if n == 1 else bids))
+    return lambda: {"[4, 7, 7]"}
+
+
+def _force_bit_probe(monkeypatch, p, i):
+    """Every bit-probe matrix gets an empty assignment: each one whose probed bit is set fails."""
+    made = []
+
+    def generate(real, n, params):
+        made.append((params, real(params)))
+        return made[-1][1]
+
+    def solve(real, n, v):
+        return (None,) * v.n_bidders if any(v is w for _, w in made) else real(v)
+
+    _recording(monkeypatch, "gen_bit_probe_auction", generate)
+    _recording(monkeypatch, "max_weight_matching", solve)
+    return lambda: {serialize_auction(v) for params, v in made if params.bits[params.probe[0]][params.probe[1]]}
+
+
+def _force_additive_split(monkeypatch, p, i):
+    """Additive VCG charges every bidder 1 more than the per-item auctions; its allocation stays."""
+    calls = _recording(monkeypatch, "vcg_additive",
+                       lambda real, n, v: dataclasses.replace(real(v), prices=tuple(x + 1 for x in real(v).prices)))
+    return lambda: {serialize_auction(calls[0][0])}
+
+
+def _force_max_weight(monkeypatch, p, i):
+    calls = _recording(monkeypatch, "_brute_welfare", lambda real, n, v: -1)
+    return lambda: {serialize_auction(calls[0][0])}
+
+
+def _force_externality(monkeypatch, p, i):
+    """The full matrix is solved; every matrix without one bidder gets the empty assignment, worth 0."""
+    calls = _recording(monkeypatch, "max_weight_matching",
+                       lambda real, n, v: real(v) if n == 1 else (None,) * v.n_bidders)
+    return lambda: {serialize_auction(calls[0][0])}
+
+
+def _force_unit_demand_menu(monkeypatch, p, i):
+    """Every item is priced -1, so the menu's best utility beats any outcome."""
+    calls = _recording(monkeypatch, "menu_unit_demand", lambda real, n, i, v: (-1,) * v.n_items)
+    return lambda: {serialize_auction(calls[0][1])}
+
+
+def _force_voting(skip):
+    """Every median after the first `skip` reads 1 higher, and so does every menu's pick.
+
+    With votes (5, 1, 1), skip 0 only moves the honest median, and skip 1 lets voter 0 (peak 5) beat it.
+    """
+
+    def force(monkeypatch, p, i):
+        calls = _recording(monkeypatch, "median_outcome", lambda real, n, v: real(v) + (n > skip))
+        _recording(monkeypatch, "median_menu_select", lambda real, n, menu, own: real(menu, own) + 1)
+        return lambda: {serialize_votes(calls[0][0])}
+
+    return force
+
+
 @pytest.mark.parametrize(
     ("trial", "force", "about"),
     [
         (verify._rural_trial, _force_rural_fill, "per-institution fill"),
         (verify._rotations_trial, _force_rotations, "equals the receiver-optimal stable matching"),
         (verify._plan_trial, _force_plan_completion, "completing the plan of applicant 4"),
+        (verify._menus_trial, _force_da_route, "deferred-acceptance menu of applicant 4 is "),
+        (verify._stability_trial, _force_weak_preference, "weakly prefers the applicant-proposing outcome"),
+        (verify._rural_trial, _force_matched_sets, "the same applicants and institutions are matched"),
+        (verify._plan_trial, _force_plan_menu, "plan menu for applicant 4 equals the deferred-acceptance menu"),
+        (_at_first_trial(verify._auctions_trial), _force_lone_bidder, "a lone bidder wins every item and pays nothing"),
+        (_at_first_trial(verify._auctions_trial), _force_spa_tie, "ties go to the lowest-index bidder"),
+        (_at_first_trial(verify._auctions_trial), _force_bit_probe, "perfect matching exists iff bit"),
+        (verify._auctions_trial, _force_additive_split, "additive VCG splits into per-item second-price auctions"),
+        (verify._auctions_trial, _force_max_weight, "maximum assignment value is -1 by enumeration"),
+        (verify._auctions_trial, _force_externality, "pays her externality"),
+        (verify._auctions_trial, _force_unit_demand_menu, "attains the best unit-demand menu utility"),
+        (verify._voting_trial, _force_voting(0), "median is 1"),
+        (verify._voting_trial, _force_voting(1), "voter 0 with peak 5 cannot beat the honest median 1"),
     ],
-    ids=["rural-capacities", "rotations", "plan-completion"],
+    ids=["rural-capacities", "rotations", "plan-completion", "menus-da-route", "stability-weak-preference",
+         "rural-matched-sets", "plan-menu", "auctions-lone-bidder", "auctions-spa-tie", "auctions-bit-probe",
+         "auctions-additive-split", "auctions-max-weight", "auctions-externality", "auctions-unit-demand-menu",
+         "voting-median", "voting-peak"],
 )
 def test_failures_of_each_check_carry_that_checks_instance(trial, force, about, monkeypatch):
     """The routes the test above does not reach, forced wrong: each failure holds its check's own instance."""
@@ -172,3 +292,24 @@ def test_a_report_as_a_dict_keeps_its_fields_in_order_with_failures_as_a_list():
         "wall_time": 1.235,
         "ok": False,
     }
+
+
+def test_a_pool_starts_only_when_the_run_fills_two_chunks_of_64_trials(monkeypatch):
+    pools = []
+
+    class CountedPool(verify.ProcessPoolExecutor):
+        def __init__(self, *a, **kw):
+            pools.append(a)
+            super().__init__(*a, **kw)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delenv("MDM_NO_PARALLEL", raising=False)
+    assert verify.run_suite("stability", trials=127).ok
+    assert pools == []
+    pooled = verify.run_suite("stability", trials=128)
+    assert pools == [(2,)]
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    in_process = verify.run_suite("stability", trials=128)
+    assert pools == [(2,)]
+    assert _comparable([pooled]) == _comparable([in_process])
