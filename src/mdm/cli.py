@@ -27,6 +27,7 @@ from mdm.market import (
     InstanceError,
     Matching,
     Profile,
+    menu_from_matching,
     parse_instance,
     serialize_instance,
 )
@@ -240,8 +241,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_describe(args: argparse.Namespace) -> int:
-    from mdm.menus import menu_from_matching
-
     p = parse_instance(_read(args.instance))
     i = _applicant_index(p, args.applicant)
     name = p.applicant_names[i]

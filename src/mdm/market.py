@@ -258,14 +258,18 @@ class Matching(_Frozen):
         """Build from an applicant -> institution mapping."""
         return cls(frozenset(assignment.items()))
 
+    def _entries(self, build: Callable[[frozenset], object]):
+        """build(self.pairs), or an InstanceError naming each entry that is not an (applicant, institution) pair."""
+        try:
+            if all(map(tuple.__instancecheck__, self.pairs)):  # one pass in C: "ab" unpacks into two too
+                return build(self.pairs)
+        except (TypeError, ValueError):  # an entry of another length
+            pass
+        raise InstanceError("\n".join(_split_pairs(self.pairs)[1]))
+
     @cached_property
     def by_applicant(self) -> dict[int, int]:
-        try:
-            if not all(map(tuple.__instancecheck__, self.pairs)):  # one pass in C: "ab" unpacks into two too
-                raise TypeError
-            out = dict(self.pairs)
-        except (TypeError, ValueError):  # an entry that is not a pair
-            raise InstanceError("\n".join(_split_pairs(self.pairs)[1])) from None
+        out = self._entries(dict)
         if len(out) < len(self.pairs):  # name the first applicant met a second time
             seen: set[int] = set()
             d = next(d for d, _ in self.pairs if d in seen or seen.add(d))
@@ -275,15 +279,13 @@ class Matching(_Frozen):
     @cached_property
     def by_institution(self) -> dict[int, tuple[int, ...]]:
         """Occupants per institution, sorted by applicant index."""
-        out: dict[int, list[int]] = {}
-        try:
-            if not all(map(tuple.__instancecheck__, self.pairs)):  # one pass in C: "ab" unpacks into two too
-                raise TypeError
-            for d, h in self.pairs:
+        def group(pairs: frozenset) -> dict[int, tuple[int, ...]]:
+            out: dict[int, list[int]] = {}
+            for d, h in pairs:
                 out.setdefault(h, []).append(d)
-        except (TypeError, ValueError):  # an entry that is not a pair
-            raise InstanceError("\n".join(_split_pairs(self.pairs)[1])) from None
-        return {h: tuple(sorted(ds)) for h, ds in out.items()}
+            return {h: tuple(sorted(ds)) for h, ds in out.items()}
+
+        return self._entries(group)
 
     def institution_of(self, applicant: int) -> int | None:
         return self.by_applicant.get(applicant)
@@ -390,6 +392,33 @@ def validate_matching(p: Profile, m: Matching) -> None:
     _raise_problems(problems)
 
 
+def _cutoffs(p: Profile, m: Matching) -> list[int]:
+    """The one admission rule, as Azevedo & Leshno's (2016) cutoffs: per institution, the rank an applicant must beat
+    to be admitted against m's occupants, its lowest occupant's if it is full, else its list's length."""
+    ranks, caps = p.institution_rank, p.capacities
+    cut = list(map(len, ranks))
+    try:
+        for h, held in m.by_institution.items():
+            if len(held) >= caps[h]:
+                cut[h] = max(map(ranks[h].__getitem__, held))
+    except (KeyError, IndexError, TypeError):  # a pair p does not hold: name it as validate_matching does
+        validate_matching(p, m)
+        raise
+    return cut
+
+
+def menu_from_matching(i: int, p: Profile, without: Matching) -> frozenset[int]:
+    """Applicant i's deferred-acceptance menu, read off the matching of the market without her.
+
+    without must be the institution-proposing matching of p with i's list
+    cleared, as mdm.menus.menu_da_many_to_one computes it. An institution is
+    on the menu iff it lists i and, in that matching, either has a free seat
+    or holds some applicant it ranks below i.
+    """
+    cut = _cutoffs(p, without)
+    return frozenset(h for h, (rank, c) in enumerate(zip(p.institution_rank, cut)) if rank.get(i, c) < c)
+
+
 def blocking_pairs(p: Profile, m: Matching) -> list[BlockingPair]:
     """All pairs that block m under p; empty exactly when m is stable.
 
@@ -398,30 +427,18 @@ def blocking_pairs(p: Profile, m: Matching) -> list[BlockingPair]:
     either has a free seat or ranks d above one of its occupants.
     """
     validate_matching(p, m)
-    occupants = m.by_institution
-    out: list[BlockingPair] = []
-    for d, prefs in enumerate(p.applicant_prefs):
-        current = m.institution_of(d)
-        for h in prefs:
-            if current is not None and p.applicant_rank[d][h] >= p.applicant_rank[d][current]:
-                continue
-            rank_d = p.institution_rank[h].get(d)
-            if rank_d is None:
-                continue
-            held = occupants.get(h, ())
-            if len(held) < p.capacities[h]:
-                out.append(BlockingPair(d, h))
-            elif any(p.institution_rank[h][d2] > rank_d for d2 in held):
-                out.append(BlockingPair(d, h))
-    return sorted(out)
+    cut, at, ranks = _cutoffs(p, m), m.by_applicant, p.institution_rank
+    return sorted(
+        BlockingPair(d, h)
+        for d, prefs in enumerate(p.applicant_prefs)
+        for h in (prefs[: p.applicant_rank[d][at[d]]] if d in at else prefs)
+        if ranks[h].get(d, cut[h]) < cut[h]
+    )
 
 
 def matched_sets(m: Matching) -> tuple[frozenset[int], frozenset[int]]:
     """Projections of a matching onto each side."""
-    return (
-        frozenset(d for d, _ in m.pairs),
-        frozenset(h for _, h in m.pairs),
-    )
+    return frozenset(m.by_applicant), frozenset(m.by_institution)
 
 
 def load_json_object(raw: bytes | str) -> dict:

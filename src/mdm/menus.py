@@ -12,8 +12,8 @@ Engines and oracles:
   agnostic; the exhaustive one is the ground truth everything else is
   checked against.
 - menu_da_many_to_one, and menu_da for unit capacities: one run of
-  institution-proposing deferred acceptance without the applicant;
-  menu_from_matching reads the menu off a run the caller already has.
+  institution-proposing deferred acceptance without the applicant, read by
+  menu_from_matching (imported from mdm.market, beside blocking_pairs).
 - menu_ttc, menu_sd: direct constructions for top trading cycles and serial
   dictatorship.
 - menu_da_applicant_proposing: the same menu as menu_da, but computed by
@@ -44,6 +44,7 @@ from mdm.market import (
     _check_entry,
     _Frozen,
     _list_problems,
+    menu_from_matching,
 )
 from mdm.mechanisms import (
     CyclePolicy,
@@ -126,27 +127,6 @@ def menu_da_many_to_one(i: int, p: Profile) -> Menu:
     _check_entry(p, i)
     expanded, copy_map = expand_many_to_one(p.with_prefs(i, ()))
     return menu_from_matching(i, p, collapse_matching(ipda(expanded), copy_map))
-
-
-def menu_from_matching(i: int, p: Profile, without: Matching) -> Menu:
-    """Applicant i's deferred-acceptance menu, read off the matching of the market without her.
-
-    without must be the institution-proposing matching of p with i's list
-    cleared, as menu_da_many_to_one computes it. An institution is on the
-    menu iff it lists i and, in that matching, either has a free seat or
-    holds some applicant it ranks below i.
-    """
-    occupants = without.by_institution
-    menu = set()
-    for h in range(p.n_institutions):
-        rank = p.institution_rank[h]
-        r = rank.get(i)
-        if r is None:
-            continue
-        held = occupants.get(h, ())
-        if len(held) < p.capacities[h] or any(rank[d] > r for d in held):
-            menu.add(h)
-    return frozenset(menu)
 
 
 def menu_da(i: int, p: Profile) -> Menu:

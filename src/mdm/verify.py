@@ -4,7 +4,7 @@ Each suite re-derives the same quantity along two independent routes over a
 stream of generated instances and reports every disagreement together with
 the instance that produced it.  A run is deterministic given (suite, size,
 trials, seed).  Each call (``run_all`` included) puts the trials of all its
-suites in one list, mapped over one process pool in chunks of at least 64 only
+suites in one stream, mapped over one process pool in chunks of at least 64 only
 if it fills two chunks, on more than one CPU, without MDM_NO_PARALLEL=1 (a pool
 costs more to start than 64 small trials).  A report's ``wall_time`` sums its
 trials' times, each timed where it ran; all else is identical.
@@ -518,16 +518,19 @@ def _run_trial(task: tuple[str, int, int, int]) -> tuple[list[Failure], float]:
 
 def _run_jobs(jobs: list[_Job]) -> list[VerificationReport]:
     """Run every trial of every job, on one process pool if the run fills two chunks; one report per job."""
-    tasks = [(job.trial, job.size, job.seed, t) for job in jobs for t in range(job.trials)]
-    chunk = max(64, -(-len(tasks) // 16))
-    workers = 1 if os.environ.get("MDM_NO_PARALLEL") == "1" else min(len(tasks) // chunk, os.cpu_count() or 1)
+    total = sum(job.trials for job in jobs)
+    tasks = ((job.trial, job.size, job.seed, t) for job in jobs for t in range(job.trials))
+    chunk = max(64, -(-total // 16))
+    workers = 1 if os.environ.get("MDM_NO_PARALLEL") == "1" else min(total // chunk, os.cpu_count() or 1)
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         results = pool.map(_run_trial, tasks, chunksize=chunk) if pool else map(_run_trial, tasks)
         reports = []
-        for job in jobs:  # each job's report takes its trials' results, the next job.trials of them
-            done = list(itertools.islice(results, job.trials))
-            failures = tuple(sorted(f for batch, _ in done for f in batch))
-            reports.append(VerificationReport(job.suite, job.trials, job.seed, failures, sum(s for _, s in done)))
+        for job in jobs:  # each job's report sums its trials' results, the next job.trials of them, as they arrive
+            failures, seconds = [], 0.0
+            for batch, s in itertools.islice(results, job.trials):
+                failures += batch
+                seconds += s
+            reports.append(VerificationReport(job.suite, job.trials, job.seed, tuple(sorted(failures)), seconds))
     return reports
 
 

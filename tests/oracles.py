@@ -845,3 +845,39 @@ class MenuPlanTwin:
     dag: object = field(repr=False)
     terminal: frozenset[int]
     pointers: tuple[int, ...] = field(repr=False)
+
+
+def menu_from_matching_reference(i: int, p: Profile, without: Matching) -> frozenset[int]:
+    """Every institution that lists i and, in without, has a free seat or holds someone it ranks below i."""
+    occupants = without.by_institution
+    menu = set()
+    for h in range(p.n_institutions):
+        rank = p.institution_rank[h]
+        r = rank.get(i)
+        if r is None:
+            continue
+        held = occupants.get(h, ())
+        if len(held) < p.capacities[h] or any(rank[d] > r for d in held):
+            menu.add(h)
+    return frozenset(menu)
+
+
+def blocking_pairs_reference(p: Profile, m: Matching) -> list[tuple[int, int]]:
+    """Every mutually listed pair whose applicant prefers the institution to her match, and whose institution has a
+    free seat or ranks her above an occupant, sorted."""
+    occupants = m.by_institution
+    out = []
+    for d, prefs in enumerate(p.applicant_prefs):
+        current = m.institution_of(d)
+        for h in prefs:
+            if current is not None and p.applicant_rank[d][h] >= p.applicant_rank[d][current]:
+                continue
+            rank_d = p.institution_rank[h].get(d)
+            if rank_d is None:
+                continue
+            held = occupants.get(h, ())
+            if len(held) < p.capacities[h]:
+                out.append((d, h))
+            elif any(p.institution_rank[h][d2] > rank_d for d2 in held):
+                out.append((d, h))
+    return sorted(out)

@@ -88,3 +88,9 @@ def test_internal_error_loads_traceback_only_then(market_path):
     proc = subprocess.run([sys.executable, "-c", probe], env=ENV, capture_output=True, text=True, timeout=60)
     assert proc.stdout == "3 False True\n"
     assert proc.stderr == "error: internal error (RuntimeError at <string>:3): deferred acceptance fell over\n"
+
+
+def test_describe_reads_the_menu_without_loading_the_menu_engines(market_path):
+    proc, loaded = fresh_run("describe", "--applicant", "d1", market_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "mdm.market" in loaded and "mdm.menus" not in loaded

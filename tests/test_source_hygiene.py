@@ -117,3 +117,24 @@ def test_every_private_function_and_constant_is_read():
         for name, tree in trees.items()
     }
     assert {name: names for name, names in unread.items() if names} == {}
+
+
+def functions_reading(tree: ast.Module, *attrs: str) -> list[str]:
+    """Functions (nested ones too) whose bodies read every one of the attributes."""
+    return [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and set(attrs) <= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+    ]
+
+
+def test_one_function_states_the_admission_rule():
+    # Who an institution admits against a matching's occupants needs both its occupants and its capacity: the DA menu
+    # and the blocking-pair test read that rule from one helper.
+    found = {
+        path.name: names
+        for path in sorted(SRC.glob("*.py"))
+        if (names := functions_reading(ast.parse(path.read_text(encoding="utf-8")), "by_institution", "capacities"))
+    }
+    assert found == {"market.py": ["_cutoffs"]}

@@ -313,3 +313,18 @@ def test_a_pool_starts_only_when_the_run_fills_two_chunks_of_64_trials(monkeypat
     in_process = verify.run_suite("stability", trials=128)
     assert pools == [(2,)]
     assert _comparable([pooled]) == _comparable([in_process])
+
+
+def test_a_long_run_holds_no_list_of_its_trials_or_their_results(monkeypatch):
+    import tracemalloc
+
+    monkeypatch.setitem(verify._TRIALS, "stability", lambda size, seed, t: [])
+    monkeypatch.setenv("MDM_NO_PARALLEL", "1")
+    tracemalloc.start()
+    try:
+        report = verify.run_suite("stability", trials=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.trials, report.failures) == (100_000, ())
+    assert peak < 1_000_000  # a task tuple or a result per trial would take over 10 MB
