@@ -135,10 +135,11 @@ class _Frozen:
 class Profile(_Frozen):
     """Applicants' preference lists plus institutions' priority lists.
 
-    Immutable after construction; index lookups and a pass of validate_profile
-    are cached on first use. ``capacities`` defaults to one seat per
-    institution. Profiles derived through ``_derive`` carry their parent's pass
-    and share the rank tables that did not change.
+    Immutable after construction; index lookups, unit_capacity and a pass of
+    validate_profile are cached on first use. ``capacities`` defaults to one
+    seat per institution. Profiles derived through ``_derive`` carry their
+    parent's pass, share the rank tables that did not change, and take
+    unit_capacity from a parent with the same capacities.
     """
 
     __match_args__ = ("applicant_names", "institution_names", "applicant_prefs", "institution_prios", "capacities")
@@ -159,14 +160,15 @@ class Profile(_Frozen):
 
     @classmethod
     def _derive(
-        cls, names_d, names_h, prefs, prios, caps=(), *, checked: bool,
+        cls, names_d, names_h, prefs, prios, caps=(), *, checked: bool, unit: bool | None = None,
         applicant_rank: Callable[[], RankTable] | None = None,
         institution_rank: Callable[[], RankTable] | None = None,
     ) -> Profile:
         """Build from fields that are already tuples of tuples, skipping __post_init__.
 
         checked carries a validation pass, so pass it only where the construction
-        keeps every invariant; a rank argument supplies that table on first use.
+        keeps every invariant; unit, where given, is unit_capacity of a parent with
+        these capacities; a rank argument supplies that table on first use.
         """
         q = object.__new__(cls)
         vars(q).update(
@@ -174,6 +176,8 @@ class Profile(_Frozen):
             institution_prios=prios, capacities=caps or (1,) * len(names_h), _checked=checked,
             _rank_sources={APPLICANT: applicant_rank, INSTITUTION: institution_rank},
         )
+        if unit is not None:
+            vars(q)["unit_capacity"] = unit
         return q
 
     def __reduce__(self):  # pickle the fields only, not the pass or the rank sources
@@ -187,7 +191,7 @@ class Profile(_Frozen):
     def n_institutions(self) -> int:
         return len(self.institution_names)
 
-    @property
+    @cached_property
     def unit_capacity(self) -> bool:
         return all(c == 1 for c in self.capacities)
 
@@ -231,7 +235,7 @@ class Profile(_Frozen):
         checked = self._checked and not _list_problems(APPLICANT, applicant, new, self.n_institutions)
         return Profile._derive(
             self.applicant_names, self.institution_names, tuple(lists), self.institution_prios,
-            self.capacities, checked=checked, applicant_rank=applicant_rank,
+            self.capacities, checked=checked, unit=self.unit_capacity, applicant_rank=applicant_rank,
             institution_rank=lambda: self.institution_rank,
         )
 
@@ -240,7 +244,7 @@ class Profile(_Frozen):
         _require_unit(self)
         return Profile._derive(
             self.institution_names, self.applicant_names, self.institution_prios, self.applicant_prefs,
-            checked=self._checked, applicant_rank=lambda: self.institution_rank,
+            checked=self._checked, unit=True, applicant_rank=lambda: self.institution_rank,
             institution_rank=lambda: self.applicant_rank,
         )
 
@@ -395,10 +399,12 @@ def validate_matching(p: Profile, m: Matching) -> None:
 def _cutoffs(p: Profile, m: Matching) -> list[int]:
     """The one admission rule, as Azevedo & Leshno's (2016) cutoffs: per institution, the rank an applicant must beat
     to be admitted against m's occupants, its lowest occupant's if it is full, else its list's length."""
-    ranks, caps = p.institution_rank, p.capacities
+    ranks, caps, by_institution = p.institution_rank, p.capacities, m.by_institution
     cut = list(map(len, ranks))
     try:
-        for h, held in m.by_institution.items():
+        if not set(map(type, by_institution)) <= {int} or min(by_institution, default=0) < 0:
+            raise IndexError  # a bool or negative index would still read a list, from the wrong end or at 0 or 1
+        for h, held in by_institution.items():
             if len(held) >= caps[h]:
                 cut[h] = max(map(ranks[h].__getitem__, held))
     except (KeyError, IndexError, TypeError):  # a pair p does not hold: name it as validate_matching does

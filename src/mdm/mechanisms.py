@@ -303,19 +303,34 @@ def ipda(
     return _on_transposed(apda, p, policy, log)
 
 
-def _next_accepting(p: Profile, mu_d: dict[int, int], nxt: list[int], h: int, log: QueryLog | None,
-                    capture: int | None = None, nodes: dict[int, tuple[int, int | None]] | None = None) -> int | None:
+def _held_ranks(p: Profile, mu_d: dict[int, int]) -> list[int]:
+    """Per applicant, the rank in her own list of her match in mu_d, or n_institutions while she is unmatched."""
+    held = [p.n_institutions] * p.n_applicants
+    rank = p.applicant_rank
+    for d, h in mu_d.items():
+        held[d] = rank[d][h]
+    return held
+
+
+def _next_accepting(p: Profile, held: list[int], nxt: list[int], h: int, log: QueryLog | None,
+                    capture: int | None = None, mu_d: dict[int, int] | None = None,
+                    nodes: dict[int, tuple[int, int | None]] | None = None) -> int | None:
     """Advance h down its priority list to the next applicant who would accept it.
 
-    An applicant accepts h if she lists it above her reservation: the
-    fallback of her node in nodes (an unroll DAG's node_of) when she has
-    one, else her current assignment in mu_d; being unmatched is below any
-    listed institution. The capture applicant, whose list must be empty,
-    takes h unconditionally: the scan stops one past her and returns her,
-    and her rank lookup is not logged.
+    An applicant accepts h if she ranks it above held[d], the rank list of
+    _held_ranks, so each step makes one dict read and one list read. The
+    capture applicant, whose list must be empty, holds n_institutions + 1
+    and so takes h unconditionally: the scan stops one past her and returns
+    her, and her rank lookup is not logged.
+
+    The plan's drain passes instead a gate that every applicant who lists h
+    passes, with mu_d and nodes (an unroll DAG's node_of). Only on such a
+    step does the scan read her reservation: the fallback of her node when
+    she has one, else her match in mu_d.
     """
     prios = p.institution_prios[h]
     rank = p.applicant_rank
+    m = len(p.institution_prios)  # n_institutions, read without the property's call
     k, end = nxt[h], len(prios)
     while k < end:
         d = prios[k]
@@ -325,13 +340,13 @@ def _next_accepting(p: Profile, mu_d: dict[int, int], nxt: list[int], h: int, lo
                 log.lookup(APPLICANT, d, h)
         k += 1
         rank_d = rank[d]
-        r = rank_d.get(h)
-        if r is not None:
-            cur = mu_d.get(d) if nodes is None or (node := nodes.get(d)) is None else node[1]
-            if cur is None or r < rank_d[cur]:
-                nxt[h] = k
-                return d
-        elif capture is not None and d == capture:  # an int compares with None slowly
+        r = rank_d.get(h, m)
+        if r < held[d]:
+            if nodes is not None:
+                node = nodes.get(d)
+                cur = mu_d.get(d) if node is None else node[1]
+                if cur is not None and r >= rank_d[cur]:
+                    continue
             nxt[h] = k
             return d
     nxt[h] = k
@@ -345,15 +360,20 @@ def _propose(
 
     Each institution holding nobody in mu_d proposes on from its pointer,
     smallest index first; displaced ones rejoin the pool. An institution
-    reaching the capture applicant stops there for good. mu_d and nxt are
-    mutated in place; returns the captured institutions, unsorted.
+    reaching the capture applicant stops there for good. The scan's rank
+    list is built from mu_d here and written with it at every hold. mu_d and
+    nxt are mutated in place; returns the captured institutions, unsorted.
     """
-    held = set(mu_d.values())
-    pool = _Pool(ProposalPolicy(), [h for h in range(p.n_institutions) if h not in held])
+    rank = p.applicant_rank
+    held = _held_ranks(p, mu_d)
+    if capture is not None:
+        held[capture] = p.n_institutions + 1
+    taken = set(mu_d.values())
+    pool = _Pool(ProposalPolicy(), [h for h in range(p.n_institutions) if h not in taken])
     captured: list[int] = []
     while pool.items:
         h = pool.pop()
-        d = _next_accepting(p, mu_d, nxt, h, log, capture)
+        d = _next_accepting(p, held, nxt, h, log, capture)
         if d is None:
             continue
         if capture is not None and d == capture:
@@ -361,6 +381,7 @@ def _propose(
             continue
         displaced = mu_d.get(d)
         mu_d[d] = h
+        held[d] = rank[d][h]
         if displaced is not None:
             pool.push(displaced)
     return captured
@@ -379,10 +400,12 @@ def resume_receiver_optimal(
     institution's next unread rank (everything above it has been proposed
     already), and d_term the applicants known to sit at their final match.
     Unmatched applicants are terminal by definition and are absorbed into
-    d_term here. mu_d and nxt are mutated in place.
+    d_term here. The scan's rank list is built from mu_d here and written
+    with it at every rotation. mu_d and nxt are mutated in place.
     """
     pref_rank = p.applicant_rank
     n = p.n_applicants
+    held = _held_ranks(p, mu_d)
     d_term = d_term | {d for d in range(n) if d not in mu_d}
     v: list[tuple[int, int]] = []  # the chain: (applicant, her match when she joined)
     in_v: set[int] = set()  # the applicants on v
@@ -392,7 +415,9 @@ def resume_receiver_optimal(
         start = next(k for k, entry in enumerate(v) if entry[0] == d)
         t = v[start:]
         for j, (_, h_j) in enumerate(t):
-            mu_d[t[(j + 1) % len(t)][0]] = h_j
+            d_j = t[(j + 1) % len(t)][0]
+            mu_d[d_j] = h_j
+            held[d_j] = pref_rank[d_j][h_j]
         del v[start:]
         in_v.difference_update(entry[0] for entry in t)
         if not v:
@@ -400,7 +425,7 @@ def resume_receiver_optimal(
         _, h_0 = v[-1]
         d_1 = t[0][0]
         h_k = t[-1][1]  # d_1's match after the rotation
-        if pref_rank[d_1][h_k] < pref_rank[d_1][h_0]:
+        if held[d_1] < pref_rank[d_1][h_0]:
             return h_0  # d_1 no longer wants h_0, which therefore proposes on
         # d_1 still prefers h_0: her chain entry reappears with her new match,
         # which becomes the proposer (it stands to lose her to h_0).
@@ -418,7 +443,7 @@ def resume_receiver_optimal(
         v.append((d_hat, h))
         in_v.add(d_hat)
         while v:
-            d = _next_accepting(p, mu_d, nxt, h, log)
+            d = _next_accepting(p, held, nxt, h, log)
             if d is None or d in d_term:
                 d_term |= in_v
                 v.clear()
@@ -442,8 +467,10 @@ def receiver_optimal(
     shares), then by letting institutions keep proposing below their current
     match, recording the resulting rejection chains in a list V and writing
     each closed chain back as a rotation. Both phases walk a list with one
-    scan (_next_accepting), which menu_da_plan's drain also uses, with its
-    unroll DAG's fallbacks as reservations. The flipped form returns the
+    scan (_next_accepting), against a list of the rank of each applicant's
+    match that each phase builds as it starts and writes with every hold or
+    rotation. menu_da_plan's drain uses the same scan, with its unroll DAG's
+    fallbacks as reservations. The flipped form returns the
     institution-optimal matching while reading applicant lists in rank order.
     """
     validate_profile(p)

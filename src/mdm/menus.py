@@ -27,7 +27,7 @@ The plan runs receiver_optimal's proposing loop (mdm.mechanisms._propose)
 with the applicant in its capture slot: an institution reaching her stops
 there, its pointer one past her, until the drain moves it on. The drain
 uses the loop's scan (_next_accepting) too, with the DAG's fallbacks as
-reservations.
+reservations, read only where the applicant lists the proposer.
 """
 
 from __future__ import annotations
@@ -245,6 +245,7 @@ class UnrollDag:
         self.sources = 0
         self._touched: set[DagNode] = set()
         self._moved: set[int] = set()
+        self.gate: list[int] | None = None  # the drain's stand-in for the scan's rank list (_next_interested)
 
     def __repr__(self) -> str:  # state dump for invariant failures
         edges = sorted((u, v) for u, v in self.out.items())
@@ -456,9 +457,16 @@ def _next_interested(
 
     An applicant already holding a dag node compares h against that node's
     fallback institution, not against her tentative match: if the chain
-    through her is unrolled, the fallback is what she ends up with.
+    through her is unrolled, the fallback is what she ends up with. The scan
+    reads that reservation, from node_of and mu, only on a step where the
+    applicant lists h: for its rank list it takes the DAG's gate, built on
+    the first scan, which holds n_institutions for everyone and one more for i.
     """
-    return _next_accepting(q, mu, nxt, h, log, i, dag.node_of)
+    gate = dag.gate
+    if gate is None:
+        gate = dag.gate = [q.n_institutions] * q.n_applicants
+        gate[i] += 1
+    return _next_accepting(q, gate, nxt, h, log, i, mu, dag.node_of)
 
 
 def menu_da_plan(i: int, p: Profile, log: QueryLog | None = None) -> MenuPlan:
@@ -570,9 +578,9 @@ def complete_from_plan(plan: MenuPlan, prefs: Sequence[int], log: QueryLog | Non
     i = plan.applicant
     q = plan.market
     prefs = tuple(prefs)
-    if _list_problems(APPLICANT, i, prefs, q.n_institutions):
+    full = q.with_prefs(i, prefs)  # checked iff the plan's market is and the list passes the per-list check
+    if not full._checked and _list_problems(APPLICANT, i, prefs, q.n_institutions):
         raise InstanceError(f"invalid preference list for applicant {i}: {prefs!r}")
-    full = q.with_prefs(i, prefs)
     mu = dict(plan.tentative.by_applicant)
     nxt = list(plan.pointers)
     d_term = {i}  # resume_receiver_optimal makes every unmatched applicant terminal itself

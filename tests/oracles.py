@@ -7,6 +7,7 @@ library rather than at the oracle.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import random
@@ -881,3 +882,124 @@ def blocking_pairs_reference(p: Profile, m: Matching) -> list[tuple[int, int]]:
             elif any(p.institution_rank[h][d2] > rank_d for d2 in held):
                 out.append((d, h))
     return sorted(out)
+
+
+def next_accepting_reference(p: Profile, mu_d: dict[int, int], nxt: list[int], h: int, log: QueryLog | None,
+                             capture: int | None = None) -> int | None:
+    """The scan of the proposing loop and the chain phase as it read mu_d on every step, before the rank list.
+
+    An applicant accepts h if she lists it above her match in mu_d, or at all
+    while unmatched; the capture applicant, whose list must be empty, takes
+    h unconditionally and her rank lookup is not logged.
+    """
+    prios = p.institution_prios[h]
+    rank = p.applicant_rank
+    k, end = nxt[h], len(prios)
+    while k < end:
+        d = prios[k]
+        if log is not None:
+            log.read(INSTITUTION, h, k, d)
+            if d != capture:
+                log.lookup(APPLICANT, d, h)
+        k += 1
+        r = rank[d].get(h)
+        if r is not None:
+            cur = mu_d.get(d)
+            if cur is None or r < rank[d][cur]:
+                nxt[h] = k
+                return d
+        elif d == capture:
+            nxt[h] = k
+            return d
+    nxt[h] = k
+    return None
+
+
+def propose_reference(
+    p: Profile, mu_d: dict[int, int], nxt: list[int], log: QueryLog | None, capture: int | None = None
+) -> list[int]:
+    """The proposing loop over next_accepting_reference: free institutions from a heap, smallest index first.
+
+    mu_d and nxt are mutated in place; returns the captured institutions, unsorted.
+    """
+    taken = set(mu_d.values())
+    free = [h for h in range(p.n_institutions) if h not in taken]
+    heapq.heapify(free)
+    captured: list[int] = []
+    while free:
+        h = heapq.heappop(free)
+        d = next_accepting_reference(p, mu_d, nxt, h, log, capture)
+        if d is None:
+            continue
+        if d == capture:
+            captured.append(h)
+            continue
+        displaced = mu_d.get(d)
+        mu_d[d] = h
+        if displaced is not None:
+            heapq.heappush(free, displaced)
+    return captured
+
+
+def resume_receiver_optimal_reference(
+    p: Profile, mu_d: dict[int, int], nxt: list[int], d_term: set[int], log: QueryLog | None = None
+) -> Matching:
+    """The chain phase over next_accepting_reference, with the chain V and its rotations as the library had them.
+
+    mu_d and nxt are mutated in place.
+    """
+    pref_rank = p.applicant_rank
+    n = p.n_applicants
+    d_term = d_term | {d for d in range(n) if d not in mu_d}
+    v: list[tuple[int, int]] = []
+    d_hat = 0
+    while True:
+        while d_hat < n and d_hat in d_term:
+            d_hat += 1
+        if d_hat == n:
+            return Matching.of(mu_d)
+        h = mu_d[d_hat]
+        v.append((d_hat, h))
+        while v:
+            d = next_accepting_reference(p, mu_d, nxt, h, log)
+            if d is None or d in d_term:
+                d_term |= {x for x, _ in v}
+                v.clear()
+            elif all(x != d for x, _ in v):
+                h = mu_d[d]
+                v.append((d, h))
+            else:
+                start = [x for x, _ in v].index(d)
+                t = v[start:]
+                for j, (_, h_j) in enumerate(t):
+                    mu_d[t[(j + 1) % len(t)][0]] = h_j
+                del v[start:]
+                if not v:
+                    break
+                h_0 = v[-1][1]
+                d_1, h_k = t[0][0], t[-1][1]
+                if pref_rank[d_1][h_k] < pref_rank[d_1][h_0]:
+                    h = h_0
+                else:
+                    v.append((d_1, h_k))
+                    h = h_k
+
+
+def complete_from_plan_reference(
+    plan: MenuPlan, prefs: tuple[int, ...], log: QueryLog | None = None
+) -> tuple[Matching, dict[int, int], list[int]]:
+    """complete_from_plan over resume_receiver_optimal_reference; also returns the final tentative matching and
+    pointers."""
+    i = plan.applicant
+    mu = dict(plan.tentative.by_applicant)
+    nxt = list(plan.pointers)
+    d_term = {i}
+    pick = next((h for h in prefs if h in plan.menu), None)
+    if pick is not None:
+        for d, h in plan.dag.chain_from((i, pick)):
+            if h is None:
+                mu.pop(d, None)
+            else:
+                mu[d] = h
+            d_term.add(d)
+    return resume_receiver_optimal_reference(plan.market.with_prefs(i, prefs), mu, nxt, d_term, log), mu, nxt

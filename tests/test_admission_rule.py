@@ -67,6 +67,8 @@ def test_blocking_pairs_and_every_menu_match_the_loops_they_replaced(seed):
     [
         ([(1, 0)], "institution 0 does not list applicant 1"),  # x is full with b, whom it does not list
         ([(0, 5)], "pair (0, 5) references a nonexistent agent"),
+        ([(2, -1)], "pair (2, -1) references a nonexistent agent"),  # y, read from the end, lists c and is full
+        ([(2, True)], "pair (2, True) references a nonexistent agent"),  # y again, read at index 1
     ],
 )
 def test_a_menu_read_off_a_matching_names_a_pair_the_market_does_not_hold(pairs, text):

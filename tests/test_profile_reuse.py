@@ -2,6 +2,7 @@
 
 import pytest
 
+import mdm.menus
 from mdm import market
 from mdm.generators import gen_random_market
 from mdm.market import InstanceError, Profile, validate_profile
@@ -90,3 +91,29 @@ def test_engines_neither_recheck_nor_reindex_a_checked_profile(monkeypatch):
     assert built.count(p.applicant_prefs) == 1
     assert built.count(p.institution_prios) == 1
     assert set(built) == {p.applicant_prefs, p.institution_prios} | augmented
+
+
+def test_one_menu_works_out_unit_capacity_once_and_derived_profiles_inherit_it(monkeypatch):
+    p = fresh(checked_market())
+    validate_profile(p)
+    worked_out = []
+    real = Profile.unit_capacity.fn
+    monkeypatch.setattr(Profile.unit_capacity, "fn", lambda q: worked_out.append(q) or real(q))
+    for i in range(p.n_applicants):
+        menu_da(i, p)
+    assert worked_out == [p]
+
+
+def test_complete_from_plan_checks_the_report_once(monkeypatch):
+    plan = menu_da_plan(2, checked_market())
+    checked = []
+    real = market._list_problems
+
+    def record(*args):
+        checked.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(market, "_list_problems", record)
+    monkeypatch.setattr(mdm.menus, "_list_problems", record)
+    complete_from_plan(plan, (3, 1, 0))
+    assert [args[2] for args in checked] == [(3, 1, 0)]
