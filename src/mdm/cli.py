@@ -27,7 +27,7 @@ from mdm.market import (
     InstanceError,
     Matching,
     Profile,
-    menu_from_matching,
+    _require_unit,
     parse_instance,
     serialize_instance,
 )
@@ -36,6 +36,7 @@ from mdm.mechanisms import (
     ProposalPolicy,
     apda,
     ipda,
+    ipda_without,
     receiver_optimal,
     serial_dictatorship,
     ttc,
@@ -244,10 +245,11 @@ def cmd_describe(args: argparse.Namespace) -> int:
     p = parse_instance(_read(args.instance))
     i = _applicant_index(p, args.applicant)
     name = p.applicant_names[i]
-    without = ipda(p.with_prefs(i, ()))
+    _require_unit(p)
+    without, on_menu = ipda_without(i, p)
     hypothetical = _matching_payload(p, without)
     hypothetical["unmatched"] = [d for d in hypothetical["unmatched"] if d != name]
-    menu = sorted(p.institution_names[h] for h in menu_from_matching(i, p, without))
+    menu = sorted(p.institution_names[h] for h in on_menu)
     lines = [f"Menu description for {name}", ""]
     lines.append("If your preference list is ignored, institutions propose and the others end up matched as:")
     lines += [f"  {line}" for line in _matching_lines(hypothetical)]

@@ -372,8 +372,8 @@ def _split_pairs(entries: frozenset) -> tuple[set, list[str]]:
     return pairs, [f"entry {e!r} is not an (applicant, institution) pair" for e in sorted(entries - pairs, key=repr)]
 
 
-def validate_matching(p: Profile, m: Matching) -> None:
-    """Raise InstanceError if m is not a valid (possibly partial) matching for p."""
+def _matching_problems(p: Profile, m: Matching, count_seats: bool = True) -> list[str]:
+    """Every rule of a (possibly partial) matching for p that m breaks; the seat count only with count_seats."""
     pairs, problems = _split_pairs(m.pairs)
     seen_applicants: set[int] = set()
     load: dict[int, int] = {}
@@ -390,26 +390,25 @@ def validate_matching(p: Profile, m: Matching) -> None:
             problems.append(f"applicant {d} does not list institution {h}")
         if d not in p.institution_rank[h]:
             problems.append(f"institution {h} does not list applicant {d}")
-    for h, count in sorted(load.items()):
-        if count > p.capacities[h]:
-            problems.append(f"institution {h} holds {count} applicants, capacity {p.capacities[h]}")
-    _raise_problems(problems)
+    if count_seats:
+        problems += [f"institution {h} holds {count} applicants, capacity {p.capacities[h]}"
+                     for h, count in sorted(load.items()) if count > p.capacities[h]]
+    return problems
+
+
+def validate_matching(p: Profile, m: Matching) -> None:
+    """Raise InstanceError if m is not a valid (possibly partial) matching for p."""
+    _raise_problems(_matching_problems(p, m))
 
 
 def _cutoffs(p: Profile, m: Matching) -> list[int]:
     """The one admission rule, as Azevedo & Leshno's (2016) cutoffs: per institution, the rank an applicant must beat
-    to be admitted against m's occupants, its lowest occupant's if it is full, else its list's length."""
-    ranks, caps, by_institution = p.institution_rank, p.capacities, m.by_institution
-    cut = list(map(len, ranks))
-    try:
-        if not set(map(type, by_institution)) <= {int} or min(by_institution, default=0) < 0:
-            raise IndexError  # a bool or negative index would still read a list, from the wrong end or at 0 or 1
-        for h, held in by_institution.items():
-            if len(held) >= caps[h]:
-                cut[h] = max(map(ranks[h].__getitem__, held))
-    except (KeyError, IndexError, TypeError):  # a pair p does not hold: name it as validate_matching does
-        validate_matching(p, m)
-        raise
+    to be admitted against m's occupants, its lowest occupant's if it is full, else its list's length. Every pair of
+    m must name agents of p and be listed by its institution."""
+    ranks, caps, cut = p.institution_rank, p.capacities, list(map(len, p.institution_rank))
+    for h, held in m.by_institution.items():
+        if len(held) >= caps[h]:
+            cut[h] = max(map(ranks[h].__getitem__, held))
     return cut
 
 
@@ -417,10 +416,13 @@ def menu_from_matching(i: int, p: Profile, without: Matching) -> frozenset[int]:
     """Applicant i's deferred-acceptance menu, read off the matching of the market without her.
 
     without must be the institution-proposing matching of p with i's list
-    cleared, as mdm.menus.menu_da_many_to_one computes it. An institution is
-    on the menu iff it lists i and, in that matching, either has a free seat
-    or holds some applicant it ranks below i.
+    cleared, as mdm.menus.menu_da_from_matching computes it. An institution
+    is on the menu iff it lists i and, in that matching, either has a free
+    seat or holds some applicant it ranks below i. without is checked as
+    validate_matching checks it, less the seat count: an over-full
+    institution still has a cutoff, its lowest occupant's rank.
     """
+    _raise_problems(_matching_problems(p, without, count_seats=False))
     cut = _cutoffs(p, without)
     return frozenset(h for h, (rank, c) in enumerate(zip(p.institution_rank, cut)) if rank.get(i, c) < c)
 

@@ -1,10 +1,11 @@
 """Matching mechanisms over unit-capacity profiles, plus the many-to-one reduction.
 
 Serial dictatorship, top trading cycles, and deferred acceptance in both
-proposing directions, together with receiver_optimal: the computation of the
-non-proposing side's optimal stable matching that reads the proposing side's
-lists strictly in rank order. Proposal and cycle policies exist so tests can
-check that outcomes do not depend on them; the public default is by-index.
+proposing directions on one proposing loop (_propose), together with
+receiver_optimal: the computation of the non-proposing side's optimal stable
+matching that reads the proposing side's lists strictly in rank order.
+Proposal and cycle policies exist so tests can check that outcomes do not
+depend on them; the public default is by-index.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import heapq
 import random
 from collections import deque
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from mdm.market import (
     APPLICANT,
@@ -22,6 +23,7 @@ from mdm.market import (
     InstanceError,
     Matching,
     Profile,
+    RankTable,
     _check_entry,
     _Frozen,
     _is_count,
@@ -87,16 +89,11 @@ class QueryLog(_Frozen):
         self.events.append(("lookup", side, owner, subject))
 
 
-def _on_transposed(
-    run: Callable[[Profile, object, QueryLog | None], Matching], p: Profile, arg: object, log: QueryLog | None
-) -> Matching:
-    """run(p.transposed(), arg, log) with its matching and logged events flipped back to p's sides."""
-    inner = QueryLog() if log is not None else None
-    m = run(p.transposed(), arg, inner)
+def _log_flipped(log: QueryLog | None, inner: QueryLog | None) -> None:
+    """Append inner's events to log, if there is one, with the applicant and institution sides interchanged."""
     if log is not None:
         flip = {APPLICANT: INSTITUTION, INSTITUTION: APPLICANT}
         log.events.extend((e[0], flip[e[1]], *e[2:]) for e in inner.events)
-    return Matching(frozenset((h, d) for d, h in m.pairs))
 
 
 class _Pool:
@@ -256,134 +253,138 @@ def ttc(p: Profile, policy: CyclePolicy = CyclePolicy()) -> Matching:
 def apda(
     p: Profile, policy: ProposalPolicy = ProposalPolicy(), log: QueryLog | None = None
 ) -> Matching:
-    """Applicant-proposing deferred acceptance: the applicant-optimal stable matching."""
+    """Applicant-proposing deferred acceptance: the applicant-optimal stable matching.
+
+    The proposing loop logs its proposers as institutions, so its events are flipped.
+    """
     _check_entry(p, unit=True)
-    prefs = p.applicant_prefs
-    rank = p.institution_rank
-    n, m = p.n_applicants, p.n_institutions
-    nxt = [0] * n
-    hold: list[int | None] = [None] * m  # institution -> the applicant it holds
-    held = [n] * m  # that applicant's rank; n, which no listed rank reaches, while empty
-    pool = _Pool(policy, [d for d in range(n) if prefs[d]])
-    free, pop, push = pool.items, pool.pop, pool.push
-    while free:
-        d = pop()
-        ranked = prefs[d]
-        k, end = nxt[d], len(ranked)
-        # d proposes down her list until someone holds her; if nobody does,
-        # she exits permanently unmatched. An unlisted proposer ranks n.
-        while k < end:
-            h = ranked[k]
-            if log is not None:
-                log.read(APPLICANT, d, k, h)
-                log.lookup(INSTITUTION, h, d)
-                if hold[h] is not None:
-                    log.lookup(INSTITUTION, h, hold[h])
-            k += 1
-            r = rank[h].get(d, n)
-            if r < held[h]:
-                cur = hold[h]
-                hold[h], held[h] = d, r
-                if cur is not None:
-                    push(cur)
-                break
-        nxt[d] = k
-    return Matching(frozenset((d, h) for h, d in enumerate(hold) if d is not None))
+    mu: dict[int, int] = {}
+    inner = QueryLog() if log is not None else None
+    _propose(p, mu, [0] * p.n_applicants, inner, policy=policy, proposing=APPLICANT, log_holders=True)
+    _log_flipped(log, inner)
+    return Matching(zip(mu.values(), mu))
 
 
 def ipda(
     p: Profile, policy: ProposalPolicy = ProposalPolicy(), log: QueryLog | None = None
 ) -> Matching:
-    """Institution-proposing deferred acceptance: sides interchanged in apda.
+    """Institution-proposing deferred acceptance: the institution-optimal (applicant-pessimal) stable matching."""
+    _check_entry(p, unit=True)
+    mu: dict[int, int] = {}
+    _propose(p, mu, [0] * p.n_institutions, log, policy=policy, log_holders=True)
+    return Matching.of(mu)
 
-    Returns the institution-optimal (equivalently applicant-pessimal) stable
-    matching.
+
+def ipda_without(i: int, p: Profile) -> tuple[Matching, frozenset[int]]:
+    """Institution-proposing deferred acceptance with applicant i excluded: the others' matching, and i's menu.
+
+    i's menu under the applicant-optimal stable mechanism is read off the
+    final pointers: h is on it iff some copy of h lists i and its pointer
+    went past her, leaving the copy a free seat or someone it ranks below
+    her. Capacities above one run on expand_many_to_one(p), folded back.
     """
-    validate_profile(p)
-    return _on_transposed(apda, p, policy, log)
+    _check_entry(p, i)
+    q, copy_map = expand_many_to_one(p)
+    mu, nxt = {}, [0] * q.n_institutions
+    _propose(q, mu, nxt, None, exclude=i)
+    menu = frozenset(copy_map[c] for c, rank in enumerate(q.institution_rank) if rank.get(i, nxt[c]) < nxt[c])
+    return Matching((d, copy_map[c]) for d, c in mu.items()), menu
 
 
-def _held_ranks(p: Profile, mu_d: dict[int, int]) -> list[int]:
-    """Per applicant, the rank in her own list of her match in mu_d, or n_institutions while she is unmatched."""
-    held = [p.n_institutions] * p.n_applicants
-    rank = p.applicant_rank
-    for d, h in mu_d.items():
-        held[d] = rank[d][h]
+def _held_ranks(rank: RankTable, mu: dict[int, int], empty: int) -> list[int]:
+    """Per receiver, the rank in its own list of the proposer it holds in mu, or empty while it holds nobody."""
+    held = [empty] * len(rank)
+    for b, a in mu.items():
+        held[b] = rank[b][a]
     return held
 
 
-def _next_accepting(p: Profile, held: list[int], nxt: list[int], h: int, log: QueryLog | None,
-                    capture: int | None = None, mu_d: dict[int, int] | None = None,
+def _next_accepting(lists: Sequence[Sequence[int]], rank: RankTable, held: list[int], nxt: list[int], a: int,
+                    log: QueryLog | None, capture: int | None = None, holders: dict[int, int] | None = None,
+                    mu_d: dict[int, int] | None = None,
                     nodes: dict[int, tuple[int, int | None]] | None = None) -> int | None:
-    """Advance h down its priority list to the next applicant who would accept it.
+    """Advance proposer a down lists[a] to the next receiver b who would accept it: rank[b] ranks a above held[b].
 
-    An applicant accepts h if she ranks it above held[d], the rank list of
-    _held_ranks, so each step makes one dict read and one list read. The
-    capture applicant, whose list must be empty, holds n_institutions + 1
-    and so takes h unconditionally: the scan stops one past her and returns
-    her, and her rank lookup is not logged.
+    held is _propose's rank list, so each step makes one dict read and one
+    list read. An unlisted proposer ranks len(lists), which only the capture
+    receiver's held exceeds; her rank lookup is not logged. Events name the
+    proposers as institutions. With holders, each receiver's held proposer,
+    the log also records the lookup of that proposer's rank, as apda and
+    ipda log it.
 
-    The plan's drain passes instead a gate that every applicant who lists h
-    passes, with mu_d and nodes (an unroll DAG's node_of). Only on such a
-    step does the scan read her reservation: the fallback of her node when
-    she has one, else her match in mu_d.
+    The plan's drain passes instead a gate that every applicant who lists
+    the proposer passes, with mu_d and nodes (an unroll DAG's node_of). Only
+    on such a step does the scan read her reservation: the fallback of her
+    node when she has one, else her match in mu_d.
     """
-    prios = p.institution_prios[h]
-    rank = p.applicant_rank
-    m = len(p.institution_prios)  # n_institutions, read without the property's call
-    k, end = nxt[h], len(prios)
+    ranked = lists[a]
+    m = len(lists)
+    k, end = nxt[a], len(ranked)
     while k < end:
-        d = prios[k]
+        b = ranked[k]
         if log is not None:
-            log.read(INSTITUTION, h, k, d)
-            if d != capture:
-                log.lookup(APPLICANT, d, h)
+            log.read(INSTITUTION, a, k, b)
+            if b != capture:
+                log.lookup(APPLICANT, b, a)
+            if holders is not None and b in holders:
+                log.lookup(APPLICANT, b, holders[b])
         k += 1
-        rank_d = rank[d]
-        r = rank_d.get(h, m)
-        if r < held[d]:
+        r = rank[b].get(a, m)
+        if r < held[b]:
             if nodes is not None:
-                node = nodes.get(d)
-                cur = mu_d.get(d) if node is None else node[1]
-                if cur is not None and r >= rank_d[cur]:
+                node = nodes.get(b)
+                cur = mu_d.get(b) if node is None else node[1]
+                if cur is not None and r >= rank[b][cur]:
                     continue
-            nxt[h] = k
-            return d
-    nxt[h] = k
+            nxt[a] = k
+            return b
+    nxt[a] = k
     return None
 
 
 def _propose(
-    p: Profile, mu_d: dict[int, int], nxt: list[int], log: QueryLog | None, capture: int | None = None
+    p: Profile, mu: dict[int, int], nxt: list[int], log: QueryLog | None, capture: int | None = None, *,
+    exclude: int | None = None, policy: ProposalPolicy = ProposalPolicy(), proposing: str = INSTITUTION,
+    log_holders: bool = False,
 ) -> list[int]:
-    """Institution-proposing deferred acceptance, resumed from the state (mu_d, nxt).
+    """Deferred acceptance resumed from the state (mu, nxt), institutions proposing unless proposing=APPLICANT.
 
-    Each institution holding nobody in mu_d proposes on from its pointer,
-    smallest index first; displaced ones rejoin the pool. An institution
-    reaching the capture applicant stops there for good. The scan's rank
-    list is built from mu_d here and written with it at every hold. mu_d and
-    nxt are mutated in place; returns the captured institutions, unsorted.
+    mu maps each receiver to the proposer it holds, and nxt holds each
+    proposer's next unread rank. The scan's rank list, held, is built from
+    mu here and written with it at every hold; a receiver holding nobody
+    holds the number of proposers. The capture receiver holds one more and
+    takes every offer: a proposer reaching her stops there for good. The
+    excluded receiver holds -1 and turns every offer down. The policy picks
+    the free proposers. mu and nxt are mutated in place; returns the
+    captured proposers, unsorted.
     """
-    rank = p.applicant_rank
-    held = _held_ranks(p, mu_d)
+    if proposing == APPLICANT:
+        lists, rank = p.applicant_prefs, p.institution_rank
+    else:
+        lists, rank = p.institution_prios, p.applicant_rank
+    held = _held_ranks(rank, mu, len(lists))
     if capture is not None:
-        held[capture] = p.n_institutions + 1
-    taken = set(mu_d.values())
-    pool = _Pool(ProposalPolicy(), [h for h in range(p.n_institutions) if h not in taken])
+        held[capture] = len(lists) + 1
+    if exclude is not None:
+        held[exclude] = -1
+    taken = set(mu.values())
+    pool = _Pool(policy, [a for a, ranked in enumerate(lists) if ranked and a not in taken])
+    free, pop, push = pool.items, pool.pop, pool.push
+    holders = mu if log_holders else None
     captured: list[int] = []
-    while pool.items:
-        h = pool.pop()
-        d = _next_accepting(p, held, nxt, h, log, capture)
-        if d is None:
+    while free:
+        a = pop()
+        b = _next_accepting(lists, rank, held, nxt, a, log, capture, holders)
+        if b is None:
             continue
-        if capture is not None and d == capture:
-            captured.append(h)
+        if capture is not None and b == capture:
+            captured.append(a)
             continue
-        displaced = mu_d.get(d)
-        mu_d[d] = h
-        held[d] = rank[d][h]
+        displaced = mu.get(b)
+        mu[b] = a
+        held[b] = rank[b][a]
         if displaced is not None:
-            pool.push(displaced)
+            push(displaced)
     return captured
 
 
@@ -403,9 +404,9 @@ def resume_receiver_optimal(
     d_term here. The scan's rank list is built from mu_d here and written
     with it at every rotation. mu_d and nxt are mutated in place.
     """
-    pref_rank = p.applicant_rank
+    prios, pref_rank = p.institution_prios, p.applicant_rank
     n = p.n_applicants
-    held = _held_ranks(p, mu_d)
+    held = _held_ranks(pref_rank, mu_d, p.n_institutions)
     d_term = d_term | {d for d in range(n) if d not in mu_d}
     v: list[tuple[int, int]] = []  # the chain: (applicant, her match when she joined)
     in_v: set[int] = set()  # the applicants on v
@@ -443,7 +444,7 @@ def resume_receiver_optimal(
         v.append((d_hat, h))
         in_v.add(d_hat)
         while v:
-            d = _next_accepting(p, held, nxt, h, log)
+            d = _next_accepting(prios, pref_rank, held, nxt, h, log)
             if d is None or d in d_term:
                 d_term |= in_v
                 v.clear()
@@ -462,20 +463,20 @@ def receiver_optimal(
     """Stable matching optimal for the side that does not propose.
 
     With proposing_side="institutions" this equals apda(p) but reads each
-    institution's priority list strictly top to bottom: first through an
-    institution-proposing run (_propose, the loop menu_da_plan's capture run
-    shares), then by letting institutions keep proposing below their current
-    match, recording the resulting rejection chains in a list V and writing
-    each closed chain back as a rotation. Both phases walk a list with one
-    scan (_next_accepting), against a list of the rank of each applicant's
-    match that each phase builds as it starts and writes with every hold or
-    rotation. menu_da_plan's drain uses the same scan, with its unroll DAG's
-    fallbacks as reservations. The flipped form returns the
-    institution-optimal matching while reading applicant lists in rank order.
+    institution's priority list strictly top to bottom: first through the
+    proposing loop (_propose), then by letting institutions keep proposing
+    below their current match, recording the resulting rejection chains in a
+    list V and writing each closed chain back as a rotation
+    (resume_receiver_optimal). Both phases walk a list with one scan
+    (_next_accepting). The flipped form returns the institution-optimal
+    matching while reading applicant lists in rank order.
     """
     validate_profile(p)
     if proposing_side in (APPLICANT, "applicants"):
-        return _on_transposed(receiver_optimal, p, INSTITUTION, log)
+        inner = QueryLog() if log is not None else None
+        m = receiver_optimal(p.transposed(), INSTITUTION, inner)
+        _log_flipped(log, inner)
+        return Matching(frozenset((h, d) for d, h in m.pairs))
     if proposing_side not in (INSTITUTION, "institutions"):
         raise InstanceError(f"unknown proposing side {proposing_side!r}")
     _require_unit(p)

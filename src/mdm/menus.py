@@ -12,8 +12,10 @@ Engines and oracles:
   agnostic; the exhaustive one is the ground truth everything else is
   checked against.
 - menu_da_many_to_one, and menu_da for unit capacities: one run of
-  institution-proposing deferred acceptance without the applicant, read by
-  menu_from_matching (imported from mdm.market, beside blocking_pairs).
+  institution-proposing deferred acceptance with the applicant excluded,
+  read off its pointers (mdm.mechanisms.ipda_without). menu_da_from_matching
+  reads it off the matching instead, with menu_from_matching (imported from
+  mdm.market, beside blocking_pairs): a cross-check for verify.
 - menu_ttc, menu_sd: direct constructions for top trading cycles and serial
   dictatorship.
 - menu_da_applicant_proposing: the same menu as menu_da, but computed by
@@ -23,11 +25,11 @@ Engines and oracles:
   rejections) to finish the applicant-optimal matching once the applicant's
   list arrives, without restarting from scratch.
 
-The plan runs receiver_optimal's proposing loop (mdm.mechanisms._propose)
-with the applicant in its capture slot: an institution reaching her stops
-there, its pointer one past her, until the drain moves it on. The drain
-uses the loop's scan (_next_accepting) too, with the DAG's fallbacks as
-reservations, read only where the applicant lists the proposer.
+The plan runs the proposing loop of mdm.mechanisms (_propose) with the
+applicant in its capture slot: an institution reaching her stops there, its
+pointer one past her, until the drain moves it on. The drain uses the
+loop's scan (_next_accepting) too, with the DAG's fallbacks as reservations,
+read only where the applicant lists the proposer.
 """
 
 from __future__ import annotations
@@ -53,9 +55,8 @@ from mdm.mechanisms import (
     _propose,
     _ttc_rounds,
     apda,
-    collapse_matching,
-    expand_many_to_one,
     ipda,
+    ipda_without,
     receiver_optimal,
     resume_receiver_optimal,
     serial_dictatorship,
@@ -118,21 +119,20 @@ def all_lists(m: int) -> list[tuple[int, ...]]:
 
 
 def menu_da_many_to_one(i: int, p: Profile) -> Menu:
-    """Menu of applicant i under the applicant-optimal stable mechanism.
-
-    Run institution-proposing deferred acceptance on the market without i,
-    on its unit-capacity expansion, and read the menu off its occupants
-    (menu_from_matching).
-    """
-    _check_entry(p, i)
-    expanded, copy_map = expand_many_to_one(p.with_prefs(i, ()))
-    return menu_from_matching(i, p, collapse_matching(ipda(expanded), copy_map))
+    """Menu of applicant i under the applicant-optimal stable mechanism, read off the pointers of ipda_without."""
+    return ipda_without(i, p)[1]
 
 
 def menu_da(i: int, p: Profile) -> Menu:
     """menu_da_many_to_one restricted to unit capacities."""
     _check_entry(p, i, unit=True)
     return menu_da_many_to_one(i, p)
+
+
+def menu_da_from_matching(i: int, p: Profile) -> Menu:
+    """menu_da by the admission rule: ipda on p with i's list cleared, read by menu_from_matching."""
+    _check_entry(p, i, unit=True)
+    return menu_from_matching(i, p, ipda(p.with_prefs(i, ())))
 
 
 def menu_ttc(i: int, p: Profile, check_invariance: bool = False) -> Menu:
@@ -466,7 +466,7 @@ def _next_interested(
     if gate is None:
         gate = dag.gate = [q.n_institutions] * q.n_applicants
         gate[i] += 1
-    return _next_accepting(q, gate, nxt, h, log, i, mu, dag.node_of)
+    return _next_accepting(q.institution_prios, q.applicant_rank, gate, nxt, h, log, i, mu_d=mu, nodes=dag.node_of)
 
 
 def menu_da_plan(i: int, p: Profile, log: QueryLog | None = None) -> MenuPlan:

@@ -57,6 +57,7 @@ from mdm.menus import (
     complete_from_plan,
     menu_da,
     menu_da_applicant_proposing,
+    menu_da_from_matching,
     menu_da_plan,
     menu_oracle_exhaustive,
     menu_oracle_singleton,
@@ -155,6 +156,7 @@ def _menus_trial(size: int, seed: int, t: int) -> list[Failure]:
     routes = [
         ("applicant-proposing augmented run", menu_da_applicant_proposing(i, p)),
         ("two-phase plan", menu_da_plan(i, p).menu),
+        ("institution-proposing run read by the admission rule", menu_da_from_matching(i, p)),
         ("single-report oracle", menu_oracle_singleton("apda", i, p)),
     ]
     if n <= 5:

@@ -34,9 +34,10 @@ from mdm.market import (
     Matching,
     Profile,
     load_json_object,
+    menu_from_matching,
     validate_profile,
 )
-from mdm.mechanisms import QueryLog
+from mdm.mechanisms import QueryLog, collapse_matching, expand_many_to_one
 from mdm.menus import MenuPlan, UnrollDag
 
 
@@ -110,6 +111,65 @@ def da_reference(p: Profile, proposing: str = APPLICANT) -> tuple[Matching, list
                 free.append(cur)
     pairs = hold.items() if proposing == APPLICANT else ((b, a) for a, b in hold.items())
     return Matching(frozenset((a, b) for b, a in pairs)), events
+
+
+def apda_loop_reference(p: Profile, log: QueryLog | None = None) -> Matching:
+    """apda as it ran with a loop of its own: free applicants from a heap, smallest index first.
+
+    The picked applicant proposes down her list until some institution holds
+    her. Each proposal logs the read, the institution's lookup of her rank,
+    and its lookup of the applicant it holds, if any.
+    """
+    prefs = p.applicant_prefs
+    rank = [{d: r for r, d in enumerate(ranked)} for ranked in p.institution_prios]
+    n, m = p.n_applicants, p.n_institutions
+    nxt = [0] * n
+    hold: list[int | None] = [None] * m
+    held = [n] * m
+    free = [d for d in range(n) if prefs[d]]
+    while free:
+        d = heapq.heappop(free)
+        ranked = prefs[d]
+        k = nxt[d]
+        while k < len(ranked):
+            h = ranked[k]
+            if log is not None:
+                log.read(APPLICANT, d, k, h)
+                log.lookup(INSTITUTION, h, d)
+                if hold[h] is not None:
+                    log.lookup(INSTITUTION, h, hold[h])
+            k += 1
+            r = rank[h].get(d, n)
+            if r < held[h]:
+                if hold[h] is not None:
+                    heapq.heappush(free, hold[h])
+                hold[h], held[h] = d, r
+                break
+        nxt[d] = k
+    return Matching((d, h) for h, d in enumerate(hold) if d is not None)
+
+
+def ipda_transposed_reference(p: Profile, log: QueryLog | None = None) -> Matching:
+    """ipda as it ran: apda_loop_reference on p with its sides interchanged, its matching and events flipped back."""
+    transposed = Profile(p.institution_names, p.applicant_names, p.institution_prios, p.applicant_prefs)
+    inner = QueryLog()
+    mu = apda_loop_reference(transposed, inner)
+    if log is not None:
+        side = {APPLICANT: INSTITUTION, INSTITUTION: APPLICANT}
+        log.events.extend((e[0], side[e[1]], *e[2:]) for e in inner.events)
+    return Matching((h, d) for d, h in mu.pairs)
+
+
+def others_matching_reference(i: int, p: Profile) -> Matching:
+    """The matching of everyone but i as menu_da and describe read it: ipda_transposed_reference on a copy of p with
+    i's list cleared, on its unit-capacity expansion, folded back to the original institutions."""
+    expanded, copy_map = expand_many_to_one(p.with_prefs(i, ()))
+    return collapse_matching(ipda_transposed_reference(expanded), copy_map)
+
+
+def menu_da_reference(i: int, p: Profile) -> frozenset[int]:
+    """menu_da_many_to_one as it ran: others_matching_reference read by menu_from_matching."""
+    return menu_from_matching(i, p, others_matching_reference(i, p))
 
 
 def chain_phase_reference(

@@ -76,3 +76,21 @@ def test_a_menu_read_off_a_matching_names_a_pair_the_market_does_not_hold(pairs,
     with pytest.raises(InstanceError) as err:
         menu_from_matching(0, p, Matching(pairs))
     assert str(err.value) == text
+
+
+@pytest.mark.parametrize(
+    ("caps", "pairs"),
+    [
+        ((1, 1), [(True, 1)]),  # True hashes as 1, so y's rank row took it for b
+        ((1, 1), [(1.0, 1)]),  # and so does 1.0
+        ((2, 1), [(-1, 0)]),  # x has a free seat, so its cutoff never read the pair
+    ],
+)
+def test_a_menu_read_off_a_matching_checks_every_pair_as_validate_matching_does(caps, pairs):
+    p = Profile(("a", "b", "c"), ("x", "y"), ((0, 1), (0, 1), (0, 1)), ((0, 1, 2), (0, 1, 2)), caps)
+    m = Matching(pairs)
+    with pytest.raises(InstanceError) as expected:
+        validate_matching(p, m)
+    with pytest.raises(InstanceError) as err:
+        menu_from_matching(0, p, m)
+    assert str(err.value) == str(expected.value) == f"pair {pairs[0]} references a nonexistent agent"

@@ -1,5 +1,5 @@
 """Source hygiene beside the 120-column check: no module imports a name it never reads, the integer rule is
-never spelled with isinstance, and one function scans institution lists."""
+never spelled with isinstance, one function scans institution lists, and one builds a pool of free proposers."""
 
 import ast
 from pathlib import Path
@@ -80,6 +80,25 @@ def test_one_function_logs_an_institution_side_read():
         path.name: lines
         for path in sorted(SRC.glob("*.py"))
         if (lines := institution_read_lines(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert sum(map(len, found.values())) == 1, found
+
+
+def pool_construction_lines(tree: ast.Module) -> list[int]:
+    """Lines that construct a _Pool: each is a deferred-acceptance loop drawing free proposers."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_Pool"
+    ]
+
+
+def test_one_function_builds_a_proposer_pool():
+    # apda, ipda, receiver_optimal's proposing phase, the DA menu and the plan's capture run share one loop.
+    found = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if (lines := pool_construction_lines(ast.parse(path.read_text(encoding="utf-8"))))
     }
     assert sum(map(len, found.values())) == 1, found
 
