@@ -4,6 +4,8 @@ Serial dictatorship, top trading cycles, and deferred acceptance in both
 proposing directions on one proposing loop (_propose), together with
 receiver_optimal: the computation of the non-proposing side's optimal stable
 matching that reads the proposing side's lists strictly in rank order.
+ipda_without keeps ipda's final state on the profile and resumes it with the
+vacancy chain of one applicant's seat (Blum, Roth & Rothblum 1997).
 Proposal and cycle policies exist so tests can check that outcomes do not
 depend on them; the public default is by-index.
 """
@@ -275,19 +277,42 @@ def ipda(
     return Matching.of(mu)
 
 
+def _ipda_run(p: Profile) -> tuple:
+    """ipda on p's unit-capacity expansion q, run once and kept on p as validate_profile keeps its pass: q's lists
+    and rank tables, copy_map, and the final state (mu, held, nxt). Derived profiles start without it, pickling drops
+    it, and it holds no reference to p."""
+    run = vars(p).get("_ipda_run")
+    if run is None:
+        q, copy_map = expand_many_to_one(p)
+        mu, nxt = {}, [0] * q.n_institutions
+        _propose(q, mu, nxt, None)
+        held = _held_ranks(q.applicant_rank, mu, q.n_institutions)
+        run = vars(p)["_ipda_run"] = q.institution_prios, q.applicant_rank, q.institution_rank, copy_map, mu, held, nxt
+    return run
+
+
 def ipda_without(i: int, p: Profile) -> tuple[Matching, frozenset[int]]:
     """Institution-proposing deferred acceptance with applicant i excluded: the others' matching, and i's menu.
 
+    The run without i is the full run followed by one vacancy chain (Blum,
+    Roth & Rothblum 1997): on a copy of ipda's final state i turns every
+    offer down, and the institution she held proposes on. Each applicant
+    who accepts passes her own holder on, until an unmatched applicant
+    accepts or the scan finds nobody.
     i's menu under the applicant-optimal stable mechanism is read off the
     final pointers: h is on it iff some copy of h lists i and its pointer
     went past her, leaving the copy a free seat or someone it ranks below
     her. Capacities above one run on expand_many_to_one(p), folded back.
     """
     _check_entry(p, i)
-    q, copy_map = expand_many_to_one(p)
-    mu, nxt = {}, [0] * q.n_institutions
-    _propose(q, mu, nxt, None, exclude=i)
-    menu = frozenset(copy_map[c] for c, rank in enumerate(q.institution_rank) if rank.get(i, nxt[c]) < nxt[c])
+    lists, rank, rows, copy_map, mu, held, nxt = _ipda_run(p)
+    mu, held, nxt = mu.copy(), held[:], nxt[:]
+    held[i] = -1
+    h = mu.pop(i, None)
+    while h is not None and (d := _next_accepting(lists, rank, held, nxt, h, None)) is not None:
+        held[d] = rank[d][h]
+        h, mu[d] = mu.get(d), h
+    menu = frozenset(copy_map[c] for c, row in enumerate(rows) if row.get(i, nxt[c]) < nxt[c])
     return Matching((d, copy_map[c]) for d, c in mu.items()), menu
 
 
@@ -344,8 +369,7 @@ def _next_accepting(lists: Sequence[Sequence[int]], rank: RankTable, held: list[
 
 def _propose(
     p: Profile, mu: dict[int, int], nxt: list[int], log: QueryLog | None, capture: int | None = None, *,
-    exclude: int | None = None, policy: ProposalPolicy = ProposalPolicy(), proposing: str = INSTITUTION,
-    log_holders: bool = False,
+    policy: ProposalPolicy = ProposalPolicy(), proposing: str = INSTITUTION, log_holders: bool = False,
 ) -> list[int]:
     """Deferred acceptance resumed from the state (mu, nxt), institutions proposing unless proposing=APPLICANT.
 
@@ -354,9 +378,8 @@ def _propose(
     mu here and written with it at every hold; a receiver holding nobody
     holds the number of proposers. The capture receiver holds one more and
     takes every offer: a proposer reaching her stops there for good. The
-    excluded receiver holds -1 and turns every offer down. The policy picks
-    the free proposers. mu and nxt are mutated in place; returns the
-    captured proposers, unsorted.
+    policy picks the free proposers. mu and nxt are mutated in place;
+    returns the captured proposers, unsorted.
     """
     if proposing == APPLICANT:
         lists, rank = p.applicant_prefs, p.institution_rank
@@ -365,8 +388,6 @@ def _propose(
     held = _held_ranks(rank, mu, len(lists))
     if capture is not None:
         held[capture] = len(lists) + 1
-    if exclude is not None:
-        held[exclude] = -1
     taken = set(mu.values())
     pool = _Pool(policy, [a for a, ranked in enumerate(lists) if ranked and a not in taken])
     free, pop, push = pool.items, pool.pop, pool.push

@@ -11,11 +11,14 @@ Engines and oracles:
 - menu_oracle_singleton / menu_oracle_exhaustive: brute force, mechanism-
   agnostic; the exhaustive one is the ground truth everything else is
   checked against.
-- menu_da_many_to_one, and menu_da for unit capacities: one run of
-  institution-proposing deferred acceptance with the applicant excluded,
-  read off its pointers (mdm.mechanisms.ipda_without). menu_da_from_matching
-  reads it off the matching instead, with menu_from_matching (imported from
-  mdm.market, beside blocking_pairs): a cross-check for verify.
+- menu_da_many_to_one, and menu_da for unit capacities: institution-
+  proposing deferred acceptance with the applicant excluded, read off its
+  pointers (mdm.mechanisms.ipda_without). That run is the full run, kept on
+  the profile, plus the vacancy chain of the seat she leaves (Blum, Roth &
+  Rothblum 1997), so the menus of one market share one run.
+  menu_da_from_matching reads the menu off the matching instead, with
+  menu_from_matching (imported from mdm.market, beside blocking_pairs): a
+  cross-check for verify.
 - menu_ttc, menu_sd: direct constructions for top trading cycles and serial
   dictatorship.
 - menu_da_applicant_proposing: the same menu as menu_da, but computed by

@@ -37,7 +37,7 @@ from mdm.market import (
     menu_from_matching,
     validate_profile,
 )
-from mdm.mechanisms import QueryLog, collapse_matching, expand_many_to_one
+from mdm.mechanisms import QueryLog, _propose, collapse_matching, expand_many_to_one
 from mdm.menus import MenuPlan, UnrollDag
 
 
@@ -170,6 +170,20 @@ def others_matching_reference(i: int, p: Profile) -> Matching:
 def menu_da_reference(i: int, p: Profile) -> frozenset[int]:
     """menu_da_many_to_one as it ran: others_matching_reference read by menu_from_matching."""
     return menu_from_matching(i, p, others_matching_reference(i, p))
+
+
+def ipda_without_reference(i: int, p: Profile) -> tuple[Matching, frozenset[int]]:
+    """ipda_without as it ran before the vacancy chain: the proposing loop from scratch on p's unit-capacity
+    expansion with i excluded, the menu read off its final pointers, both folded back to the original institutions.
+
+    The loop excluded i by holding -1 for her. Here her list is cleared instead: she then ranks every institution at
+    the number of institutions, the rank she holds while unmatched, so she turns every offer down all the same.
+    """
+    q, copy_map = expand_many_to_one(p)
+    mu, nxt = {}, [0] * q.n_institutions
+    _propose(q.with_prefs(i, ()), mu, nxt, None)
+    menu = frozenset(copy_map[c] for c, rank in enumerate(q.institution_rank) if rank.get(i, nxt[c]) < nxt[c])
+    return Matching((d, copy_map[c]) for d, c in mu.items()), menu
 
 
 def chain_phase_reference(

@@ -1,17 +1,23 @@
-"""Derived profiles carry their parent's validation pass and share its rank tables."""
+"""Derived profiles carry their parent's validation pass and share its rank tables, but not its kept ipda run."""
+
+import gc
+import pickle
+import weakref
 
 import pytest
 
+import mdm.mechanisms
 import mdm.menus
 from mdm import market
 from mdm.generators import gen_random_market
 from mdm.market import InstanceError, Profile, validate_profile
-from mdm.mechanisms import ipda
+from mdm.mechanisms import ipda, ipda_without
 from mdm.menus import (
     build_augmented_profile,
     complete_from_plan,
     menu_da,
     menu_da_applicant_proposing,
+    menu_da_many_to_one,
     menu_da_plan,
     menu_ttc,
 )
@@ -117,3 +123,56 @@ def test_complete_from_plan_checks_the_report_once(monkeypatch):
     monkeypatch.setattr(mdm.menus, "_list_problems", record)
     complete_from_plan(plan, (3, 1, 0))
     assert [args[2] for args in checked] == [(3, 1, 0)]
+
+
+@pytest.mark.parametrize("max_capacity", [1, 3])
+def test_every_menu_of_a_profile_shares_one_full_run(monkeypatch, max_capacity):
+    calls = []
+    real = mdm.mechanisms._propose
+    monkeypatch.setattr(mdm.mechanisms, "_propose", lambda *args, **kw: calls.append(args[0]) or real(*args, **kw))
+    p = gen_random_market(12, 5, truncation_prob=0.3)
+    p = Profile(p.applicant_names, p.institution_names, p.applicant_prefs, p.institution_prios,
+                tuple(1 + h % max_capacity for h in range(p.n_institutions)))
+    for _ in range(2):
+        for i in range(p.n_applicants):
+            menu_da_many_to_one(i, p)
+            ipda_without(i, p)
+    assert len(calls) == 1
+    assert (calls[0] is p) == p.unit_capacity  # a capacitated profile keeps its expansion with the run
+
+
+def test_derived_profiles_carry_no_kept_run_and_get_the_menus_of_a_fresh_profile():
+    p = checked_market()
+    for i in range(p.n_applicants):
+        menu_da(i, p)
+    assert "_ipda_run" in vars(p)
+    for q in (p.with_prefs(3, (4, 0, 5)), p.with_prefs(0, ()), p.transposed()):
+        assert "_ipda_run" not in vars(q)
+        ref = fresh(q)
+        assert [ipda_without(i, q) for i in range(q.n_applicants)] == [
+            ipda_without(i, ref) for i in range(ref.n_applicants)
+        ]
+
+
+def test_pickling_drops_the_kept_run_and_eq_and_hash_ignore_it():
+    p = checked_market()
+    before = hash(p)
+    menu_da(0, p)
+    assert "_ipda_run" in vars(p)
+    assert hash(p) == before and p == fresh(p)
+    q = pickle.loads(pickle.dumps(p))
+    assert q == p and hash(q) == before
+    assert "_ipda_run" not in vars(q)
+
+
+def test_a_profile_with_a_kept_run_is_freed_without_the_cycle_collector():
+    p = fresh(checked_market())
+    for i in range(p.n_applicants):
+        menu_da(i, p)
+    ref = weakref.ref(p)
+    gc.disable()
+    try:
+        del p
+        assert ref() is None
+    finally:
+        gc.enable()
