@@ -99,12 +99,12 @@ def _log_flipped(log: QueryLog | None, inner: QueryLog | None) -> None:
 
 
 class _Pool:
-    """Pool of free proposers drained according to a ProposalPolicy.
+    """Pool of free seats drained according to a ProposalPolicy.
 
-    pop picks the next free proposer, who then proposes until held; push
-    returns a displaced proposer. by-index keeps a heap, so each push and
-    pop costs O(log n); fifo and lifo use a deque and seeded-random a list
-    with swap-removal, O(1) each.
+    pop picks the next free seat, named by its proposer, which then proposes
+    until held; push gives back a displaced proposer's seat. by-index keeps
+    a heap, so each push and pop costs O(log n); fifo and lifo use a deque
+    and seeded-random a list with swap-removal, O(1) each.
     """
 
     def __init__(self, policy: ProposalPolicy, items: Iterable[int]):
@@ -277,17 +277,14 @@ def ipda(
     return Matching.of(mu)
 
 
-def _ipda_run(p: Profile) -> tuple:
-    """ipda on p's unit-capacity expansion q, run once and kept on p as validate_profile keeps its pass: q's lists
-    and rank tables, copy_map, and the final state (mu, held, nxt). Derived profiles start without it, pickling drops
-    it, and it holds no reference to p."""
+def _ipda_run(p: Profile) -> tuple[dict[int, int], list[int], list[int]]:
+    """ipda on p, seats counted, run once and kept on p as validate_profile keeps its pass: the final state
+    (mu, held, nxt). Derived profiles start without it, pickling drops it, and it holds no reference to p."""
     run = vars(p).get("_ipda_run")
     if run is None:
-        q, copy_map = expand_many_to_one(p)
-        mu, nxt = {}, [0] * q.n_institutions
-        _propose(q, mu, nxt, None)
-        held = _held_ranks(q.applicant_rank, mu, q.n_institutions)
-        run = vars(p)["_ipda_run"] = q.institution_prios, q.applicant_rank, q.institution_rank, copy_map, mu, held, nxt
+        mu, nxt = {}, [0] * p.n_institutions
+        _propose(p, mu, nxt, None)
+        run = vars(p)["_ipda_run"] = mu, _held_ranks(p.applicant_rank, mu, p.n_institutions), nxt
     return run
 
 
@@ -296,24 +293,23 @@ def ipda_without(i: int, p: Profile) -> tuple[Matching, frozenset[int]]:
 
     The run without i is the full run followed by one vacancy chain (Blum,
     Roth & Rothblum 1997): on a copy of ipda's final state i turns every
-    offer down, and the institution she held proposes on. Each applicant
-    who accepts passes her own holder on, until an unmatched applicant
+    offer down, and the seat she held proposes on. Each applicant who
+    accepts passes her own holder's seat on, until an unmatched applicant
     accepts or the scan finds nobody.
     i's menu under the applicant-optimal stable mechanism is read off the
-    final pointers: h is on it iff some copy of h lists i and its pointer
-    went past her, leaving the copy a free seat or someone it ranks below
-    her. Capacities above one run on expand_many_to_one(p), folded back.
+    final pointers: h is on it iff h lists i and its pointer went past her,
+    leaving h a free seat or someone it ranks below her.
     """
     _check_entry(p, i)
-    lists, rank, rows, copy_map, mu, held, nxt = _ipda_run(p)
-    mu, held, nxt = mu.copy(), held[:], nxt[:]
+    lists, rank, rows = p.institution_prios, p.applicant_rank, p.institution_rank
+    mu, held, nxt = (state.copy() for state in _ipda_run(p))
     held[i] = -1
     h = mu.pop(i, None)
     while h is not None and (d := _next_accepting(lists, rank, held, nxt, h, None)) is not None:
         held[d] = rank[d][h]
         h, mu[d] = mu.get(d), h
-    menu = frozenset(copy_map[c] for c, row in enumerate(rows) if row.get(i, nxt[c]) < nxt[c])
-    return Matching((d, copy_map[c]) for d, c in mu.items()), menu
+    menu = frozenset(h for h, row in enumerate(rows) if row.get(i, nxt[h]) < nxt[h])
+    return Matching(mu.items()), menu
 
 
 def _held_ranks(rank: RankTable, mu: dict[int, int], empty: int) -> list[int]:
@@ -371,25 +367,26 @@ def _propose(
     p: Profile, mu: dict[int, int], nxt: list[int], log: QueryLog | None, capture: int | None = None, *,
     policy: ProposalPolicy = ProposalPolicy(), proposing: str = INSTITUTION, log_holders: bool = False,
 ) -> list[int]:
-    """Deferred acceptance resumed from the state (mu, nxt), institutions proposing unless proposing=APPLICANT.
+    """Deferred acceptance from the empty matching, institutions proposing unless proposing=APPLICANT.
 
-    mu maps each receiver to the proposer it holds, and nxt holds each
-    proposer's next unread rank. The scan's rank list, held, is built from
-    mu here and written with it at every hold; a receiver holding nobody
+    Callers pass an empty mu and zero pointers nxt; mu ends mapping each
+    receiver to the proposer it holds, nxt at each proposer's next unread
+    rank. The pool starts with min(capacity, list length) seats of each
+    institution and one of each applicant. A proposer's seats share its
+    pointer, and a displaced proposer gets one seat back. The scan's rank
+    list, held, is written with mu at every hold; a receiver holding nobody
     holds the number of proposers. The capture receiver holds one more and
-    takes every offer: a proposer reaching her stops there for good. The
-    policy picks the free proposers. mu and nxt are mutated in place;
-    returns the captured proposers, unsorted.
+    takes every offer: a seat reaching her stops there for good. The policy
+    picks the free seats. Returns the captured proposers, unsorted.
     """
     if proposing == APPLICANT:
-        lists, rank = p.applicant_prefs, p.institution_rank
+        lists, rank, seats = p.applicant_prefs, p.institution_rank, (1,) * p.n_applicants
     else:
-        lists, rank = p.institution_prios, p.applicant_rank
-    held = _held_ranks(rank, mu, len(lists))
+        lists, rank, seats = p.institution_prios, p.applicant_rank, p.capacities
+    held = [len(lists)] * len(rank)
     if capture is not None:
         held[capture] = len(lists) + 1
-    taken = set(mu.values())
-    pool = _Pool(policy, [a for a, ranked in enumerate(lists) if ranked and a not in taken])
+    pool = _Pool(policy, [a for a, ranked in enumerate(lists) for _ in range(min(seats[a], len(ranked)))])
     free, pop, push = pool.items, pool.pop, pool.push
     holders = mu if log_holders else None
     captured: list[int] = []

@@ -13,9 +13,9 @@ Engines and oracles:
   checked against.
 - menu_da_many_to_one, and menu_da for unit capacities: institution-
   proposing deferred acceptance with the applicant excluded, read off its
-  pointers (mdm.mechanisms.ipda_without). That run is the full run, kept on
-  the profile, plus the vacancy chain of the seat she leaves (Blum, Roth &
-  Rothblum 1997), so the menus of one market share one run.
+  pointers (mdm.mechanisms.ipda_without): the full run, seats counted and
+  kept on the profile, plus the vacancy chain of the seat she leaves (Blum,
+  Roth & Rothblum 1997), so the menus of one market share one run.
   menu_da_from_matching reads the menu off the matching instead, with
   menu_from_matching (imported from mdm.market, beside blocking_pairs): a
   cross-check for verify.

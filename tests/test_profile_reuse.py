@@ -138,7 +138,7 @@ def test_every_menu_of_a_profile_shares_one_full_run(monkeypatch, max_capacity):
             menu_da_many_to_one(i, p)
             ipda_without(i, p)
     assert len(calls) == 1
-    assert (calls[0] is p) == p.unit_capacity  # a capacitated profile keeps its expansion with the run
+    assert calls[0] is p  # capacities are counted as seats: the one run is on p itself
 
 
 def test_derived_profiles_carry_no_kept_run_and_get_the_menus_of_a_fresh_profile():

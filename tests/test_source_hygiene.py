@@ -1,5 +1,6 @@
 """Source hygiene beside the 120-column check: no module imports a name it never reads, the integer rule is
-never spelled with isinstance, one function scans institution lists, and one builds a pool of free proposers."""
+never spelled with isinstance, one function scans institution lists, one builds a pool of free proposers, and one
+expands a market to unit capacities."""
 
 import ast
 from pathlib import Path
@@ -101,6 +102,26 @@ def test_one_function_builds_a_proposer_pool():
         if (lines := pool_construction_lines(ast.parse(path.read_text(encoding="utf-8"))))
     }
     assert sum(map(len, found.values())) == 1, found
+
+
+def call_sites(tree: ast.Module, name: str) -> list[str]:
+    """The module-level definition (or "<module>") around each call of name, bare or as an attribute."""
+    return [
+        getattr(top, "name", "<module>")
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_one_function_expands_a_market_to_unit_capacities():
+    # Deferred acceptance counts seats in its one loop; the expansion stays only as the rural suite's oracle route.
+    found = {
+        path.name: sites
+        for path in sorted(SRC.glob("*.py"))
+        if (sites := call_sites(ast.parse(path.read_text(encoding="utf-8")), "expand_many_to_one"))
+    }
+    assert found == {"verify.py": ["_rural_trial"]}
 
 
 def private_definitions(tree: ast.Module) -> dict[str, int]:

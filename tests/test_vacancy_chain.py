@@ -13,7 +13,8 @@ import pytest
 
 from oracles import ipda_without_reference
 
-from mdm.market import Profile
+import mdm.mechanisms
+from mdm.market import Matching, Profile
 from mdm.mechanisms import collapse_matching, expand_many_to_one, ipda, ipda_without
 from mdm.menus import menu_da, menu_da_many_to_one
 
@@ -119,3 +120,42 @@ def test_no_institutions(n):
     for i in range(n):
         assert ipda_without(i, p) == ipda_without_reference(i, p) == (ipda_without_reference(i, p)[0], frozenset())
         assert menu_da(i, p) == frozenset()
+
+
+def with_capacities(p: Profile, capacities: tuple[int, ...]) -> Profile:
+    return Profile(p.applicant_names, p.institution_names, p.applicant_prefs, p.institution_prios, capacities)
+
+
+def test_the_kept_run_counts_seats_to_the_matching_of_the_expansion():
+    # The one kept run is on p itself, seats counted; folded back, the run on the expansion reaches the same matching
+    # (Roth & Sotomayor 1990, ch. 5). In spare x has 5 seats and a list of 2; in huge y has 10^9 seats and a list of 3.
+    spare = Profile(("a", "b", "c"), ("x", "y"), ((0, 1), (1, 0), (0, 1)), ((2, 0), (0, 1, 2)), (5, 1))
+    huge = with_capacities(spare, (1, 10**9))
+    wide = next(markets(0.3))
+    extra = [spare, huge, with_capacities(wide, (10**9,) * wide.n_institutions)]
+    for p in [*(p for t in TRUNCATIONS for p in markets(t)), *extra]:
+        menu_da_many_to_one(0, p)
+        assert Matching(vars(p)["_ipda_run"][0].items()) == Matching.of(full_run(p)), p
+    assert full_run(spare) == {0: 0, 1: 1, 2: 0} and full_run(huge) == {0: 1, 1: 1, 2: 0}
+
+
+def test_the_menu_path_makes_no_copy_per_seat(monkeypatch):
+    rng = random.Random("no-copies")
+    n, m = 30, 12
+    p = Profile(
+        tuple(f"d{d}" for d in range(n)),
+        tuple(f"h{h}" for h in range(m)),
+        tuple(ranked(rng, m, 0.3) for _ in range(n)),
+        tuple(ranked(rng, n, 0.3) for _ in range(m)),
+        tuple(1 + h % 4 for h in range(m)),
+    )
+    expected = [ipda_without_reference(i, p) for i in range(n)]
+
+    def refuse(q):
+        raise AssertionError("the menu path expanded the market")
+
+    monkeypatch.setattr(mdm.mechanisms, "expand_many_to_one", refuse)
+    assert [ipda_without(i, p) for i in range(n)] == expected
+    assert [menu_da_many_to_one(i, p) for i in range(n)] == [menu for _, menu in expected]
+    _, held, nxt = vars(p)["_ipda_run"]
+    assert (len(held), len(nxt)) == (p.n_applicants, p.n_institutions)
