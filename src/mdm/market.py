@@ -224,7 +224,12 @@ class Profile(_Frozen):
         its applicant table. It stays checked if this profile is and the new
         list passes the per-list check.
         """
-        lists, new = list(self.applicant_prefs), tuple(prefs)
+        _check_index(applicant, self.n_applicants, APPLICANT)
+        try:
+            new = tuple(prefs)
+        except TypeError:
+            raise _not_a_list({"prefs": prefs}) from None
+        lists = list(self.applicant_prefs)
         lists[applicant] = new
 
         def applicant_rank() -> RankTable:

@@ -278,13 +278,12 @@ def ipda(
 
 
 def _ipda_run(p: Profile) -> tuple[dict[int, int], list[int], list[int]]:
-    """ipda on p, seats counted, run once and kept on p as validate_profile keeps its pass: the final state
-    (mu, held, nxt). Derived profiles start without it, pickling drops it, and it holds no reference to p."""
+    """ipda on p, seats counted, run once and kept on p as validate_profile keeps its pass: _propose's final
+    state (mu, held, nxt). Derived profiles start without it, pickling drops it, and it holds no reference to p."""
     run = vars(p).get("_ipda_run")
     if run is None:
         mu, nxt = {}, [0] * p.n_institutions
-        _propose(p, mu, nxt, None)
-        run = vars(p)["_ipda_run"] = mu, _held_ranks(p.applicant_rank, mu, p.n_institutions), nxt
+        run = vars(p)["_ipda_run"] = mu, _propose(p, mu, nxt, None), nxt
     return run
 
 
@@ -305,33 +304,25 @@ def ipda_without(i: int, p: Profile) -> tuple[Matching, frozenset[int]]:
     mu, held, nxt = (state.copy() for state in _ipda_run(p))
     held[i] = -1
     h = mu.pop(i, None)
-    while h is not None and (d := _next_accepting(lists, rank, held, nxt, h, None)) is not None:
+    while h is not None and (d := _next_accepting(lists, rank, held, nxt, h)) is not None:
         held[d] = rank[d][h]
         h, mu[d] = mu.get(d), h
     menu = frozenset(h for h, row in enumerate(rows) if row.get(i, nxt[h]) < nxt[h])
     return Matching(mu.items()), menu
 
 
-def _held_ranks(rank: RankTable, mu: dict[int, int], empty: int) -> list[int]:
-    """Per receiver, the rank in its own list of the proposer it holds in mu, or empty while it holds nobody."""
-    held = [empty] * len(rank)
-    for b, a in mu.items():
-        held[b] = rank[b][a]
-    return held
-
-
 def _next_accepting(lists: Sequence[Sequence[int]], rank: RankTable, held: list[int], nxt: list[int], a: int,
-                    log: QueryLog | None, capture: int | None = None, holders: dict[int, int] | None = None,
+                    log: QueryLog | None = None, holders: dict[int, int] | None = None,
                     mu_d: dict[int, int] | None = None,
                     nodes: dict[int, tuple[int, int | None]] | None = None) -> int | None:
     """Advance proposer a down lists[a] to the next receiver b who would accept it: rank[b] ranks a above held[b].
 
     held is _propose's rank list, so each step makes one dict read and one
-    list read. An unlisted proposer ranks len(lists), which only the capture
-    receiver's held exceeds; her rank lookup is not logged. Events name the
-    proposers as institutions. With holders, each receiver's held proposer,
-    the log also records the lookup of that proposer's rank, as apda and
-    ipda log it.
+    list read. An unlisted proposer ranks len(lists): a receiver holding -1
+    takes nobody, and one holding more than len(lists), the capture receiver,
+    takes all, with no rank lookup logged. Events name the proposers as
+    institutions. With holders, each receiver's held proposer, the log also
+    records the lookup of that proposer's rank, as apda and ipda log it.
 
     The plan's drain passes instead a gate that every applicant who lists
     the proposer passes, with mu_d and nodes (an unroll DAG's node_of). Only
@@ -345,7 +336,7 @@ def _next_accepting(lists: Sequence[Sequence[int]], rank: RankTable, held: list[
         b = ranked[k]
         if log is not None:
             log.read(INSTITUTION, a, k, b)
-            if b != capture:
+            if held[b] <= m:
                 log.lookup(APPLICANT, b, a)
             if holders is not None and b in holders:
                 log.lookup(APPLICANT, b, holders[b])
@@ -374,10 +365,11 @@ def _propose(
     rank. The pool starts with min(capacity, list length) seats of each
     institution and one of each applicant. A proposer's seats share its
     pointer, and a displaced proposer gets one seat back. The scan's rank
-    list, held, is written with mu at every hold; a receiver holding nobody
-    holds the number of proposers. The capture receiver holds one more and
-    takes every offer: a seat reaching her stops there for good. The policy
-    picks the free seats. Returns the captured proposers, unsorted.
+    list, held, is written with mu at every hold and returned: per receiver,
+    the rank in its own list of the proposer it holds, or the number of
+    proposers while it holds nobody. The capture receiver holds one more and
+    takes every offer: a seat reaching her stops there for good, its pointer
+    one past her. The policy picks the free seats.
     """
     if proposing == APPLICANT:
         lists, rank, seats = p.applicant_prefs, p.institution_rank, (1,) * p.n_applicants
@@ -389,21 +381,17 @@ def _propose(
     pool = _Pool(policy, [a for a, ranked in enumerate(lists) for _ in range(min(seats[a], len(ranked)))])
     free, pop, push = pool.items, pool.pop, pool.push
     holders = mu if log_holders else None
-    captured: list[int] = []
     while free:
         a = pop()
-        b = _next_accepting(lists, rank, held, nxt, a, log, capture, holders)
-        if b is None:
-            continue
-        if capture is not None and b == capture:
-            captured.append(a)
+        b = _next_accepting(lists, rank, held, nxt, a, log, holders)
+        if b is None or b == capture:
             continue
         displaced = mu.get(b)
         mu[b] = a
         held[b] = rank[b][a]
         if displaced is not None:
             push(displaced)
-    return captured
+    return held
 
 
 def resume_receiver_optimal(
@@ -419,12 +407,14 @@ def resume_receiver_optimal(
     institution's next unread rank (everything above it has been proposed
     already), and d_term the applicants known to sit at their final match.
     Unmatched applicants are terminal by definition and are absorbed into
-    d_term here. The scan's rank list is built from mu_d here and written
-    with it at every rotation. mu_d and nxt are mutated in place.
+    d_term here. The scan's rank list (as in _propose) is built from mu_d
+    here and written with it at every rotation. mu_d and nxt are mutated in place.
     """
     prios, pref_rank = p.institution_prios, p.applicant_rank
     n = p.n_applicants
-    held = _held_ranks(pref_rank, mu_d, p.n_institutions)
+    held = [p.n_institutions] * n
+    for d, h in mu_d.items():
+        held[d] = pref_rank[d][h]
     d_term = d_term | {d for d in range(n) if d not in mu_d}
     v: list[tuple[int, int]] = []  # the chain: (applicant, her match when she joined)
     in_v: set[int] = set()  # the applicants on v

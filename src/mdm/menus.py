@@ -29,10 +29,10 @@ Engines and oracles:
   list arrives, without restarting from scratch.
 
 The plan runs the proposing loop of mdm.mechanisms (_propose) with the
-applicant in its capture slot: an institution reaching her stops there, its
-pointer one past her, until the drain moves it on. The drain uses the
-loop's scan (_next_accepting) too, with the DAG's fallbacks as reservations,
-read only where the applicant lists the proposer.
+applicant in its capture slot, one more than the number of institutions in
+the loop's rank list: an institution reaching her stops there until the
+drain moves it on. The drain uses the loop's scan (_next_accepting) too,
+with the DAG's fallbacks as reservations where she lists the proposer.
 """
 
 from __future__ import annotations
@@ -441,10 +441,13 @@ def _hold_run(q: Profile, i: int, log: QueryLog | None) -> tuple[dict[int, int],
 
     An institution reaching i's slot stops proposing there for good. Returns
     the tentative matching over everyone else, the per-institution pointers,
-    and the captured institutions in ascending order.
+    and the captured institutions in ascending order. With one seat each, an
+    institution was captured iff it read someone and the last was i: she
+    takes every offer, and any other last read holds it or turned it down.
     """
     mu, nxt = {}, [0] * q.n_institutions
-    return mu, nxt, sorted(_propose(q, mu, nxt, log, capture=i))
+    _propose(q, mu, nxt, log, capture=i)
+    return mu, nxt, [h for h, ranked in enumerate(q.institution_prios) if nxt[h] and ranked[nxt[h] - 1] == i]
 
 
 def _next_interested(
@@ -469,7 +472,7 @@ def _next_interested(
     if gate is None:
         gate = dag.gate = [q.n_institutions] * q.n_applicants
         gate[i] += 1
-    return _next_accepting(q.institution_prios, q.applicant_rank, gate, nxt, h, log, i, mu_d=mu, nodes=dag.node_of)
+    return _next_accepting(q.institution_prios, q.applicant_rank, gate, nxt, h, log, mu_d=mu, nodes=dag.node_of)
 
 
 def menu_da_plan(i: int, p: Profile, log: QueryLog | None = None) -> MenuPlan:
@@ -580,8 +583,8 @@ def complete_from_plan(plan: MenuPlan, prefs: Sequence[int], log: QueryLog | Non
     """
     i = plan.applicant
     q = plan.market
-    prefs = tuple(prefs)
     full = q.with_prefs(i, prefs)  # checked iff the plan's market is and the list passes the per-list check
+    prefs = full.applicant_prefs[i]
     if not full._checked and _list_problems(APPLICANT, i, prefs, q.n_institutions):
         raise InstanceError(f"invalid preference list for applicant {i}: {prefs!r}")
     mu = dict(plan.tentative.by_applicant)

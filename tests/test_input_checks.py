@@ -67,6 +67,28 @@ def test_complete_from_plan_rejects_a_bad_list(prefs):
     assert str(err.value) == f"invalid preference list for applicant 1: {prefs!r}"
 
 
+@pytest.mark.parametrize("applicant", [-1, 2, True, "a"], ids=repr)
+def test_with_prefs_rejects_an_applicant_index_out_of_range(applicant):
+    p = small()
+    validate_profile(p)
+    with pytest.raises(InstanceError) as err:
+        p.with_prefs(applicant, (0,))
+    assert str(err.value) == f"applicant index {applicant!r} out of range for 2 applicants"
+
+
+def test_with_prefs_rejects_a_report_that_is_not_a_list():
+    with pytest.raises(InstanceError) as err:
+        small().with_prefs(0, 5)
+    assert str(err.value) == "prefs: expected a list, got 5"
+
+
+def test_complete_from_plan_rejects_a_report_that_is_not_a_list():
+    plan = menu_da_plan(1, small())
+    with pytest.raises(InstanceError) as err:
+        complete_from_plan(plan, 5)
+    assert str(err.value) == "prefs: expected a list, got 5"
+
+
 @pytest.mark.parametrize(
     ("values", "bound", "text"),
     [

@@ -4,6 +4,7 @@ apda had a loop of its own, and ipda ran it on the transposed profile. menu_da, 
 ipda on a copy of the market with the applicant's list cleared, and read the menu off its matching. Now each runs the
 loop of receiver_optimal's proposing phase, and the menu is read off that loop's pointers with the applicant
 excluded. Every route must give the same matchings, the same list accesses under by-index, and the same menus.
+The loop's rank list, held, which it returns and the kept run stores, is checked against its sentinels at the end.
 """
 
 import json
@@ -18,9 +19,20 @@ from oracles import (
     others_matching_reference,
 )
 
+import mdm.mechanisms
 from mdm.cli import main
-from mdm.market import Profile, serialize_instance
-from mdm.mechanisms import PROPOSAL_KINDS, ProposalPolicy, QueryLog, apda, ipda, ipda_without
+from mdm.market import APPLICANT, INSTITUTION, Profile, serialize_instance
+from mdm.mechanisms import (
+    PROPOSAL_KINDS,
+    ProposalPolicy,
+    QueryLog,
+    _ipda_run,
+    _next_accepting,
+    _propose,
+    apda,
+    ipda,
+    ipda_without,
+)
 from mdm.menus import menu_da, menu_da_from_matching, menu_da_many_to_one
 
 TRUNCATIONS = (0.0, 0.3, 0.7)
@@ -100,3 +112,67 @@ def test_describe_prints_the_matching_and_menu_of_the_route_it_replaced(tmp_path
         unmatched = sorted(set(p.applicant_names) - set(matched) - {name})
         assert doc["hypothetical"] == {"matched": matched, "unmatched": unmatched}
         assert doc["menu"] == sorted(p.institution_names[h] for h in menu_da_reference(i, p))
+
+
+# Two proposers over three receivers: receiver 0 lists proposer 1, receiver 1 lists proposer 0, receiver 2 nobody.
+SCAN_LISTS = ((0, 2, 1), (0,))
+SCAN_RANK = ({1: 0}, {0: 0}, {})
+
+
+def scan(held: list[int], nxt: list[int], a: int) -> tuple[int | None, list[int], list[tuple]]:
+    log = QueryLog()
+    b = _next_accepting(SCAN_LISTS, SCAN_RANK, held, nxt, a, log)
+    return b, nxt, log.events
+
+
+def test_a_receiver_holding_more_than_the_proposers_takes_an_unlisted_one_and_logs_no_lookup():
+    assert scan([3, 2, 2], [0, 0], 0) == (0, [1, 0], [("read", INSTITUTION, 0, 0, 0)])
+
+
+def test_a_receiver_holding_minus_one_turns_down_a_proposer_she_lists():
+    assert scan([-1, 2, 2], [0, 0], 1) == (None, [0, 1], [("read", INSTITUTION, 1, 0, 0), ("lookup", APPLICANT, 0, 1)])
+
+
+def test_a_receiver_holding_the_number_of_proposers_takes_only_one_she_lists():
+    events = [event for b in (0, 2, 1) for event in (("read", INSTITUTION, 0, SCAN_LISTS[0].index(b), b),
+                                                     ("lookup", APPLICANT, b, 0))]
+    assert scan([2, 2, 2], [0, 0], 0) == (1, [3, 0], events)
+
+
+def held_of(lists, rank, mu: dict[int, int], capture: int | None = None) -> list[int]:
+    """Per receiver, the rank of the proposer it holds in mu, len(lists) for nobody, one more for the capture."""
+    held = [len(lists)] * len(rank)
+    for b, a in mu.items():
+        held[b] = rank[b][a]
+    if capture is not None:
+        held[capture] = len(lists) + 1
+    return held
+
+
+@pytest.mark.parametrize("max_capacity", [1, 2, 3])
+@pytest.mark.parametrize("truncation", TRUNCATIONS)
+def test_the_proposing_loop_returns_the_rank_list_of_its_holds(truncation, max_capacity):
+    for rng, p in markets(f"held/{max_capacity}", truncation, 12, max_capacity):
+        sides = [(INSTITUTION, p.institution_prios, p.applicant_rank)]
+        if max_capacity == 1:
+            sides.append((APPLICANT, p.applicant_prefs, p.institution_rank))
+        for proposing, lists, rank in sides:
+            for kind in PROPOSAL_KINDS:
+                mu = {}
+                held = _propose(p, mu, [0] * len(lists), None, policy=ProposalPolicy(kind, 3), proposing=proposing)
+                assert held == held_of(lists, rank, mu), (p, proposing, kind)
+        i = rng.randrange(p.n_applicants)
+        q = p.with_prefs(i, ())
+        for kind in PROPOSAL_KINDS:
+            mu = {}
+            held = _propose(q, mu, [0] * q.n_institutions, None, i, policy=ProposalPolicy(kind, 5))
+            assert i not in mu and held == held_of(q.institution_prios, q.applicant_rank, mu, i), (p, i, kind)
+
+
+def test_the_kept_run_keeps_the_rank_list_the_loop_returned(monkeypatch):
+    returned = []
+    monkeypatch.setattr(mdm.mechanisms, "_propose", lambda *args: returned.append(_propose(*args)) or returned[-1])
+    for _, p in markets("kept", 0.3, 10, max_capacity=3):
+        mu, held, _ = _ipda_run(p)
+        assert held is returned[-1] and held == held_of(p.institution_prios, p.applicant_rank, mu), p
+        assert vars(p)["_ipda_run"][1] is held

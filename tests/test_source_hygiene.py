@@ -1,6 +1,6 @@
 """Source hygiene beside the 120-column check: no module imports a name it never reads, the integer rule is
-never spelled with isinstance, one function scans institution lists, one builds a pool of free proposers, and one
-expands a market to unit capacities."""
+never spelled with isinstance, one function scans institution lists, one builds a pool of free proposers, one
+expands a market to unit capacities, and one names the capture slot."""
 
 import ast
 from pathlib import Path
@@ -178,3 +178,29 @@ def test_one_function_states_the_admission_rule():
         if (names := functions_reading(ast.parse(path.read_text(encoding="utf-8")), "by_institution", "capacities"))
     }
     assert found == {"market.py": ["_cutoffs"]}
+
+
+def functions_naming(tree: ast.Module, name: str) -> list[str]:
+    """Module-level functions whose bodies or parameters name the given identifier."""
+    return [
+        top.name
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef)
+        and any(getattr(node, "id", None) == name or getattr(node, "arg", None) == name for node in ast.walk(top))
+    ]
+
+
+def test_one_function_names_the_capture_slot():
+    # The capture receiver is a value in the scan's rank list, held: the loop writes it and skips her offers, and the
+    # scan tells her apart by that value alone.
+    tree = ast.parse((SRC / "mechanisms.py").read_text(encoding="utf-8"))
+    assert functions_naming(tree, "capture") == ["_propose"]
+    propose = next(top for top in tree.body if getattr(top, "name", None) == "_propose")
+    writes = [
+        n for n in ast.walk(propose) if isinstance(n, ast.Assign) and ast.unparse(n.targets[0]) == "held[capture]"
+    ]
+    skips = [
+        n for n in ast.walk(propose)
+        if isinstance(n, ast.If) and "capture" in ast.unparse(n.test) and isinstance(n.body[0], ast.Continue)
+    ]
+    assert (len(writes), len(skips)) == (1, 1)
