@@ -24,6 +24,8 @@ from typing import Iterable, NoReturn
 
 from mdm import MECHANISM_TAGS, SUITE_NAMES
 from mdm.market import (
+    APPLICANT,
+    INSTITUTION,
     InstanceError,
     Matching,
     Profile,
@@ -152,7 +154,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         elif mech == "ipda":
             mu = ipda(p, ProposalPolicy(args.policy or "by-index", args.seed))
         else:
-            mu = receiver_optimal(p, args.proposing)
+            mu = receiver_optimal(p, {"institutions": INSTITUTION, "applicants": APPLICANT}[args.proposing])
         payload = {"mechanism": mech, **_matching_payload(p, mu)}
         lines = _matching_lines(payload)
         _emit(payload, args.format, "\n".join(lines) + "\n" if lines else "(empty market)\n")

@@ -35,6 +35,14 @@ def _not_a_list(fields: dict[str, object], nested: tuple[str, ...] = ()) -> Inst
     return InstanceError(f"{', '.join(fields)}: expected lists")  # a failing iterator is spent, so its row is lost
 
 
+def _tuple_of(name: str, value: object) -> tuple:
+    """tuple(value), or the InstanceError naming the field when value is not a list."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise _not_a_list({name: value}) from None
+
+
 def _raise_problems(problems: list[str]) -> None:
     """Raise every problem, one a line, as one InstanceError; an empty list passes."""
     if problems:
@@ -225,10 +233,7 @@ class Profile(_Frozen):
         list passes the per-list check.
         """
         _check_index(applicant, self.n_applicants, APPLICANT)
-        try:
-            new = tuple(prefs)
-        except TypeError:
-            raise _not_a_list({"prefs": prefs}) from None
+        new = _tuple_of("prefs", prefs)
         lists = list(self.applicant_prefs)
         lists[applicant] = new
 

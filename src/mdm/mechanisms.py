@@ -3,7 +3,8 @@
 Serial dictatorship, top trading cycles, and deferred acceptance in both
 proposing directions on one proposing loop (_propose), together with
 receiver_optimal: the computation of the non-proposing side's optimal stable
-matching that reads the proposing side's lists strictly in rank order.
+matching that reads the proposing side's lists strictly in rank order; both
+phases take the proposing side as a parameter and never transpose the profile.
 ipda_without keeps ipda's final state on the profile and resumes it with the
 vacancy chain of one applicant's seat (Blum, Roth & Rothblum 1997).
 Proposal and cycle policies exist so tests can check that outcomes do not
@@ -30,6 +31,7 @@ from mdm.market import (
     _Frozen,
     _is_count,
     _require_unit,
+    _tuple_of,
     validate_profile,
 )
 
@@ -91,11 +93,12 @@ class QueryLog(_Frozen):
         self.events.append(("lookup", side, owner, subject))
 
 
-def _log_flipped(log: QueryLog | None, inner: QueryLog | None) -> None:
-    """Append inner's events to log, if there is one, with the applicant and institution sides interchanged."""
+def _flipped(pairs: Iterable[tuple[int, int]], log: QueryLog | None, inner: QueryLog | None) -> Matching:
+    """(institution, applicant) pairs as a matching; inner's events go to log, if there is one, sides interchanged."""
     if log is not None:
         flip = {APPLICANT: INSTITUTION, INSTITUTION: APPLICANT}
         log.events.extend((e[0], flip[e[1]], *e[2:]) for e in inner.events)
+    return Matching((d, h) for h, d in pairs)
 
 
 class _Pool:
@@ -137,17 +140,15 @@ def serial_dictatorship(p: Profile, order: Sequence[int]) -> Matching:
     listed institutions are all claimed stays unmatched.
     """
     _check_entry(p, unit=True)
+    order = _tuple_of("order", order)
     if not all(map(_is_count, order)) or sorted(order) != list(range(p.n_applicants)):
-        raise InstanceError(f"order must be a permutation of all applicant indices, got {tuple(order)!r}")
-    taken: set[int] = set()
-    out: dict[int, int] = {}
+        raise InstanceError(f"order must be a permutation of all applicant indices, got {order!r}")
+    taken: dict[int, int] = {}  # institution -> the applicant who claimed it
     for d in order:
-        for h in p.applicant_prefs[d]:
-            if h not in taken:
-                taken.add(h)
-                out[d] = h
-                break
-    return Matching.of(out)
+        h = next((h for h in p.applicant_prefs[d] if h not in taken), None)
+        if h is not None:
+            taken[h] = d
+    return Matching((d, h) for h, d in taken.items())
 
 
 def _ttc_rounds(
@@ -263,8 +264,7 @@ def apda(
     mu: dict[int, int] = {}
     inner = QueryLog() if log is not None else None
     _propose(p, mu, [0] * p.n_applicants, inner, policy=policy, proposing=APPLICANT, log_holders=True)
-    _log_flipped(log, inner)
-    return Matching(zip(mu.values(), mu))
+    return _flipped(mu.items(), log, inner)
 
 
 def ipda(
@@ -400,67 +400,64 @@ def resume_receiver_optimal(
     nxt: list[int],
     d_term: set[int],
     log: QueryLog | None = None,
+    proposing: str = INSTITUTION,
 ) -> Matching:
     """Run the chain/rotation phase to completion from a partial proposing state.
 
-    mu_d is the tentative applicant -> institution assignment, nxt holds each
-    institution's next unread rank (everything above it has been proposed
-    already), and d_term the applicants known to sit at their final match.
-    Unmatched applicants are terminal by definition and are absorbed into
-    d_term here. The scan's rank list (as in _propose) is built from mu_d
-    here and written with it at every rotation. mu_d and nxt are mutated in place.
+    Institutions propose unless proposing=APPLICANT; d names a receiver, h a proposer.
+    mu_d is the tentative receiver -> proposer assignment, nxt holds each proposer's
+    next unread rank (everything above it has been proposed already), and d_term the
+    receivers known to sit at their final match. Unmatched receivers are terminal by
+    definition and are absorbed into d_term here. The scan's rank list (as in _propose)
+    is built from mu_d here and written with it at every rotation. mu_d and nxt are
+    mutated in place, and the matching holds mu_d's (receiver, proposer) pairs.
     """
-    prios, pref_rank = p.institution_prios, p.applicant_rank
-    n = p.n_applicants
-    held = [p.n_institutions] * n
+    if proposing == APPLICANT:
+        lists, rank = p.applicant_prefs, p.institution_rank
+    else:
+        lists, rank = p.institution_prios, p.applicant_rank
+    n = len(rank)
+    held = [len(lists)] * n
     for d, h in mu_d.items():
-        held[d] = pref_rank[d][h]
+        held[d] = rank[d][h]
     d_term = d_term | {d for d in range(n) if d not in mu_d}
-    v: list[tuple[int, int]] = []  # the chain: (applicant, her match when she joined)
-    in_v: set[int] = set()  # the applicants on v
+    v: dict[int, int] = {}  # the chain, in order: receiver -> her match when she joined
 
     def write_rotation(d: int) -> int | None:
         """Write the rotation closed by d's reappearance; returns the next proposer."""
-        start = next(k for k, entry in enumerate(v) if entry[0] == d)
-        t = v[start:]
+        on_v = list(v)
+        t = [(x, v.pop(x)) for x in on_v[on_v.index(d):]]
         for j, (_, h_j) in enumerate(t):
             d_j = t[(j + 1) % len(t)][0]
             mu_d[d_j] = h_j
-            held[d_j] = pref_rank[d_j][h_j]
-        del v[start:]
-        in_v.difference_update(entry[0] for entry in t)
+            held[d_j] = rank[d_j][h_j]
         if not v:
             return None
-        _, h_0 = v[-1]
+        h_0 = v[next(reversed(v))]
         d_1 = t[0][0]
         h_k = t[-1][1]  # d_1's match after the rotation
-        if held[d_1] < pref_rank[d_1][h_0]:
+        if held[d_1] < rank[d_1][h_0]:
             return h_0  # d_1 no longer wants h_0, which therefore proposes on
         # d_1 still prefers h_0: her chain entry reappears with her new match,
         # which becomes the proposer (it stands to lose her to h_0).
-        v.append((d_1, h_k))
-        in_v.add(d_1)
+        v[d_1] = h_k
         return h_k
 
-    d_hat = 0  # d_term only grows, so the least non-terminal applicant only moves up
+    d_hat = 0  # d_term only grows, so the least non-terminal receiver only moves up
     while True:
         while d_hat < n and d_hat in d_term:
             d_hat += 1
         if d_hat == n:
             return Matching.of(mu_d)
         h: int | None = mu_d[d_hat]
-        v.append((d_hat, h))
-        in_v.add(d_hat)
+        v[d_hat] = h
         while v:
-            d = _next_accepting(prios, pref_rank, held, nxt, h, log)
+            d = _next_accepting(lists, rank, held, nxt, h, log)
             if d is None or d in d_term:
-                d_term |= in_v
+                d_term.update(v)
                 v.clear()
-                in_v.clear()
-            elif d not in in_v:
-                h = mu_d[d]
-                v.append((d, h))
-                in_v.add(d)
+            elif d not in v:
+                h = v[d] = mu_d[d]
             else:
                 h = write_rotation(d)
 
@@ -470,31 +467,29 @@ def receiver_optimal(
 ) -> Matching:
     """Stable matching optimal for the side that does not propose.
 
-    With proposing_side="institutions" this equals apda(p) but reads each
+    With proposing_side=INSTITUTION this equals apda(p) but reads each
     institution's priority list strictly top to bottom: first through the
     proposing loop (_propose), then by letting institutions keep proposing
-    below their current match, recording the resulting rejection chains in a
-    list V and writing each closed chain back as a rotation
+    below their current match, recording the resulting rejection chains in V
+    and writing each closed chain back as a rotation
     (resume_receiver_optimal). Both phases walk a list with one scan
-    (_next_accepting). The flipped form returns the institution-optimal
-    matching while reading applicant lists in rank order.
+    (_next_accepting). With proposing_side=APPLICANT both phases run on p
+    itself from the applicant side, with no transposed copy, and return the
+    institution-optimal matching, reading applicant lists in rank order.
     """
     validate_profile(p)
-    if proposing_side in (APPLICANT, "applicants"):
-        inner = QueryLog() if log is not None else None
-        m = receiver_optimal(p.transposed(), INSTITUTION, inner)
-        _log_flipped(log, inner)
-        return Matching(frozenset((h, d) for d, h in m.pairs))
-    if proposing_side not in (INSTITUTION, "institutions"):
+    if proposing_side not in (APPLICANT, INSTITUTION):
         raise InstanceError(f"unknown proposing side {proposing_side!r}")
     _require_unit(p)
 
     # Pointers keep their final positions so the chain phase continues each
-    # institution's list right below its match.
-    mu_d: dict[int, int] = {}
-    nxt = [0] * p.n_institutions
-    _propose(p, mu_d, nxt, log)
-    return resume_receiver_optimal(p, mu_d, nxt, set(), log)
+    # proposer's list right below its match.
+    flip = proposing_side == APPLICANT
+    inner = QueryLog() if flip and log is not None else log
+    mu_d, nxt = {}, [0] * (p.n_applicants if flip else p.n_institutions)
+    _propose(p, mu_d, nxt, inner, proposing=proposing_side)
+    m = resume_receiver_optimal(p, mu_d, nxt, set(), inner, proposing_side)
+    return _flipped(m.pairs, log, inner) if flip else m
 
 
 def expand_many_to_one(p: Profile) -> tuple[Profile, tuple[int, ...]]:

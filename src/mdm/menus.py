@@ -49,6 +49,7 @@ from mdm.market import (
     _check_entry,
     _Frozen,
     _list_problems,
+    _tuple_of,
     menu_from_matching,
 )
 from mdm.mechanisms import (
@@ -78,7 +79,7 @@ def _run_mechanism(mech: str, p: Profile, order: Sequence[int] | None) -> Matchi
     if mech == "ttc":
         return ttc(p)
     if mech == "sd":
-        return serial_dictatorship(p, tuple(order) if order is not None else tuple(range(p.n_applicants)))
+        return serial_dictatorship(p, range(p.n_applicants) if order is None else order)
     raise InstanceError(f"unknown mechanism tag {mech!r}; expected one of {MECHANISM_TAGS}")
 
 
@@ -161,9 +162,9 @@ def menu_ttc(i: int, p: Profile, check_invariance: bool = False) -> Menu:
 
 def menu_sd(i: int, p: Profile, order: Sequence[int]) -> Menu:
     """Menu of applicant i under serial dictatorship: whatever her predecessors leave."""
-    _check_entry(p, i)
-    order = tuple(order)
-    picks = serial_dictatorship(p.with_prefs(i, ()), order).by_applicant
+    _check_entry(p, i, unit=True)
+    order = _tuple_of("order", order)
+    picks = serial_dictatorship(p, order).by_applicant  # her predecessors pick before her list is read
     return frozenset(range(p.n_institutions)) - {picks[d] for d in order[: order.index(i)] if d in picks}
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from mdm.market import InstanceError, _check_index, _int_row_problems, _is_count, _not_a_list, _raise_problems
+from mdm.market import InstanceError, _check_index, _int_row_problems, _is_count, _raise_problems, _tuple_of
 from mdm.market import load_small_format
 
 
@@ -26,10 +26,7 @@ class VoteProfile:
     votes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "votes", tuple(self.votes))
-        except TypeError:
-            raise _not_a_list({"votes": self.votes}) from None
+        object.__setattr__(self, "votes", _tuple_of("votes", self.votes))
         validate_votes(self)
 
     @property

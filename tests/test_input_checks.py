@@ -17,8 +17,8 @@ from mdm.auctions import (
 )
 from mdm.generators import BitProbeParams, CycleGridParams, cycle_grid_params, gen_cycle_grid, gen_random_market
 from mdm.market import InstanceError, Profile, validate_profile
-from mdm.mechanisms import CyclePolicy
-from mdm.menus import complete_from_plan, menu_da_plan, menu_oracle_singleton
+from mdm.mechanisms import CyclePolicy, serial_dictatorship
+from mdm.menus import complete_from_plan, menu_da_plan, menu_oracle_singleton, menu_sd
 from mdm.voting import VoteProfile, median_menu, median_outcome, serialize_votes
 
 BAD_ENTRIES = ["a", None, 1.0, True]
@@ -195,3 +195,15 @@ def test_each_remaining_input_check_names_what_it_rejects(build, text):
     with pytest.raises(InstanceError) as err:
         build()
     assert str(err.value) == text
+
+
+def test_serial_dictatorship_names_an_order_that_is_not_a_list():
+    with pytest.raises(InstanceError) as err:
+        serial_dictatorship(small(), None)
+    assert str(err.value) == "order: expected a list, got None"
+
+
+def test_menu_sd_names_an_order_that_is_not_a_list():
+    with pytest.raises(InstanceError) as err:
+        menu_sd(0, small(), 5)
+    assert str(err.value) == "order: expected a list, got 5"

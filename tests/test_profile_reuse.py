@@ -19,6 +19,7 @@ from mdm.menus import (
     menu_da_applicant_proposing,
     menu_da_many_to_one,
     menu_da_plan,
+    menu_sd,
     menu_ttc,
 )
 
@@ -176,3 +177,15 @@ def test_a_profile_with_a_kept_run_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_menu_sd_derives_no_profile(monkeypatch):
+    # Her predecessors pick before her list is read, so serial dictatorship runs on p itself, not on a cleared copy.
+    p = checked_market()
+    derived = []
+    real = Profile._derive.__func__
+    monkeypatch.setattr(Profile, "_derive", classmethod(lambda cls, *a, **k: derived.append(a) or real(cls, *a, **k)))
+    order = list(reversed(range(p.n_applicants)))
+    menus = [menu_sd(i, p, order) for i in range(p.n_applicants)]
+    assert derived == []
+    assert menus[order[0]] == frozenset(range(p.n_institutions))

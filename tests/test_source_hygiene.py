@@ -1,6 +1,6 @@
 """Source hygiene beside the 120-column check: no module imports a name it never reads, the integer rule is
 never spelled with isinstance, one function scans institution lists, one builds a pool of free proposers, one
-expands a market to unit capacities, and one names the capture slot."""
+expands a market to unit capacities, none transposes a market, and one names the capture slot."""
 
 import ast
 from pathlib import Path
@@ -122,6 +122,16 @@ def test_one_function_expands_a_market_to_unit_capacities():
         if (sites := call_sites(ast.parse(path.read_text(encoding="utf-8")), "expand_many_to_one"))
     }
     assert found == {"verify.py": ["_rural_trial"]}
+
+
+def test_no_function_transposes_a_market():
+    # Deferred acceptance takes its proposing side as a parameter, so no engine runs on a copy with the sides swapped.
+    found = {
+        path.name: sites
+        for path in sorted(SRC.glob("*.py"))
+        if (sites := call_sites(ast.parse(path.read_text(encoding="utf-8")), "transposed"))
+    }
+    assert found == {}
 
 
 def private_definitions(tree: ast.Module) -> dict[str, int]:
