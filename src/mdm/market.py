@@ -147,7 +147,11 @@ class Profile(_Frozen):
     validate_profile are cached on first use. ``capacities`` defaults to one
     seat per institution. Profiles derived through ``_derive`` carry their
     parent's pass, share the rank tables that did not change, and take
-    unit_capacity from a parent with the same capacities.
+    unit_capacity from a parent with the same capacities. The mechanisms
+    keep their full runs on the instance the same way (mdm.mechanisms:
+    _ipda_run, _ttc_run): derived profiles start without them, pickling
+    drops them, == and hash ignore them, and they hold no reference to the
+    profile, so it is freed without the cycle collector.
     """
 
     __match_args__ = ("applicant_names", "institution_names", "applicant_prefs", "institution_prios", "capacities")

@@ -7,6 +7,10 @@ matching that reads the proposing side's lists strictly in rank order; both
 phases take the proposing side as a parameter and never transpose the profile.
 ipda_without keeps ipda's final state on the profile and resumes it with the
 vacancy chain of one applicant's seat (Blum, Roth & Rothblum 1997).
+Top trading cycles runs one resumable state (_Trading) in one loop (_trade):
+ttc and the rounds with one applicant absent start it from scratch, and
+_ttc_without forks the full run kept on the profile at a checkpoint before
+the applicant's own cycle executes.
 Proposal and cycle policies exist so tests can check that outcomes do not
 depend on them; the public default is by-index.
 """
@@ -16,9 +20,12 @@ from __future__ import annotations
 import bisect
 import heapq
 import random
+from array import array
 from collections import deque
 from functools import partial
-from typing import Iterable, Sequence
+from itertools import compress
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from mdm.market import (
     APPLICANT,
@@ -151,37 +158,74 @@ def serial_dictatorship(p: Profile, order: Sequence[int]) -> Matching:
     return Matching((d, h) for h, d in taken.items())
 
 
-def _ttc_rounds(
-    p: Profile, policy: CyclePolicy, absent: int | None = None
-) -> tuple[dict[int, int], frozenset[int]]:
-    """Trading-cycle rounds; returns the trades and the institutions left over.
+class _Trading:
+    """Trading-cycle rounds on a unit-capacity profile, as a state that _trade carries from round to round.
 
-    Every agent points at the first agent on its list still in the market.
-    An agent whose list runs out leaves unmatched, which can exhaust other
-    lists in turn. Each round the policy picks which of the standing cycles
-    execute, and their agents leave matched. The absent applicant stays in
-    the market without pointing: institutions may point at her, but no cycle
-    through her ever executes. Rounds stop once no cycle is left.
+    Every agent points at the first agent on its list still in the market
+    (at_d, at_h: positions in its own list). An agent whose list runs out
+    leaves unmatched, which can exhaust other lists in turn. Each round the
+    policy picks which of the standing cycles execute, and their agents leave
+    matched. The absent applicant stays in the market without pointing:
+    institutions may point at her, but no cycle through her ever executes.
+    Rounds stop once no cycle is left.
 
     State carries over between rounds. The market only shrinks, so each
-    pointer only moves forward, and a cycle stands until it executes. A
-    round re-points just the agents whose targets left, and looks for new
-    cycles only along the walks from the re-pointed agents. Standing cycles
-    are kept in order of their lowest applicant: lowest-index-applicant-first
-    takes the first, seeded-random draws one uniformly.
+    pointer only moves forward, and a cycle stands until it executes. A round
+    re-points just the agents whose targets left (lost_d, lost_h, reached
+    through fans_d, fans_h: who points at each agent), and looks for new
+    cycles only along the walks from the re-pointed agents. cycling holds,
+    per applicant, the round in which her standing cycle was found, 0 for
+    none. Standing cycles are kept in order of their lowest applicant:
+    lowest-index-applicant-first takes the first, seeded-random draws one
+    uniformly.
+
+    A run starts in round 1 with nobody pointing yet, or resumes a
+    checkpoint (round, at_d, at_h, live_d, live_h) taken in that round
+    before its cycles executed, with the cycles standing then, which count
+    as found in that round. Each live agent of a checkpoint points at a
+    live target, so only fans and cycling are rebuilt, from the pointers
+    and the standing cycles.
     """
-    prefs, prios = p.applicant_prefs, p.institution_prios
-    n, m = p.n_applicants, p.n_institutions
+
+    def __init__(self, p: Profile, absent: int | None = None, checkpoint: tuple | None = None,
+                 standing: list[tuple[int, list[int]]] | None = None) -> None:
+        prefs, prios = self.prefs, self.prios = p.applicant_prefs, p.institution_prios
+        n, m = len(prefs), len(prios)
+        self.absent, self.out = absent, {}
+        self.fans_d: list[list[int]] = [[] for _ in range(n)]
+        self.fans_h: list[list[int]] = [[] for _ in range(m)]
+        self.cycling = [0] * n
+        self.standing = standing or []  # (lowest applicant, cycle), ascending
+        if checkpoint is None:
+            self.round = 1
+            self.at_d, self.at_h, self.live_d, self.live_h = [0] * n, [0] * m, [True] * n, [True] * m
+            self.lost_d = [d for d in range(n) if d != absent]  # agents whose target left, or who have none yet
+            self.lost_h = list(range(m))
+            return
+        self.round, *lists = checkpoint
+        at_d, at_h, live_d, live_h = self.at_d, self.at_h, self.live_d, self.live_h = [list(a) for a in lists]
+        self.lost_d, self.lost_h = [], []
+        fans_d, fans_h, cycling = self.fans_d, self.fans_h, self.cycling
+        for d in compress(range(n), live_d):
+            if d != absent:
+                fans_h[prefs[d][at_d[d]]].append(d)
+        for h in compress(range(m), live_h):
+            fans_d[prios[h][at_h[h]]].append(h)
+        for _, cycle in self.standing:
+            for x in cycle:
+                cycling[x] = self.round
+
+    def survivors(self) -> frozenset[int]:
+        return frozenset(compress(range(len(self.live_h)), self.live_h))
+
+
+def _trade(trading: _Trading, policy: CyclePolicy, before: Callable[[list], None] | None = None) -> None:
+    """Run the rounds of trading until no cycle stands; before, if given, sees each round's chosen cycles first."""
+    prefs, prios, absent = trading.prefs, trading.prios, trading.absent
+    live_d, live_h, at_d, at_h = trading.live_d, trading.live_h, trading.at_d, trading.at_h
+    fans_d, fans_h, lost_d, lost_h = trading.fans_d, trading.fans_h, trading.lost_d, trading.lost_h
+    cycling, standing, out = trading.cycling, trading.standing, trading.out
     rng = random.Random(policy.seed) if policy.kind == "seeded-random" else None
-    live_d, live_h = [True] * n, [True] * m
-    at_d, at_h = [0] * n, [0] * m  # pointer positions, into each agent's own list
-    fans_d: list[list[int]] = [[] for _ in range(n)]  # institutions pointing at each applicant
-    fans_h: list[list[int]] = [[] for _ in range(m)]  # applicants pointing at each institution
-    cycling = [False] * n  # applicant on a standing cycle
-    standing: list[tuple[int, list[int]]] = []  # (lowest applicant, cycle), ascending
-    lost_d = [d for d in range(n) if d != absent]  # agents whose target left, or who have none yet
-    lost_h = list(range(m))
-    out: dict[int, int] = {}
     while True:
         moved: list[int] = []  # applicants whose walk may now close a new cycle
         while lost_d or lost_h:
@@ -225,19 +269,22 @@ def _ttc_rounds(
             if state.get(d) == 0:
                 cycle = path[path.index(d):]
                 for x in cycle:
-                    cycling[x] = True
+                    cycling[x] = trading.round
                 bisect.insort(standing, (min(cycle), cycle))
             for x in path:
                 state[x] = 1
 
         if not standing:
-            return out, frozenset(h for h in range(m) if live_h[h])
+            return
         if policy.kind == "lowest-index-applicant-first":
             chosen = [standing.pop(0)]
         elif policy.kind == "all-simultaneous":
-            chosen, standing = standing, []
+            chosen = standing[:]
+            standing.clear()
         else:
             chosen = [standing.pop(rng.randrange(len(standing)))]
+        if before is not None:
+            before(chosen)
         for _, cycle in chosen:
             for d in cycle:
                 h = prefs[d][at_d[d]]
@@ -245,6 +292,87 @@ def _ttc_rounds(
                 live_d[d] = live_h[h] = False
                 lost_h += fans_d[d]
                 lost_d += fans_h[h]
+        trading.round += 1
+
+
+def _ttc_rounds(
+    p: Profile, policy: CyclePolicy, absent: int | None = None
+) -> tuple[dict[int, int], frozenset[int]]:
+    """Trading-cycle rounds from the start (_Trading); returns the trades and the institutions left over."""
+    trading = _Trading(p, absent)
+    _trade(trading, policy)
+    return trading.out, trading.survivors()
+
+
+def _ttc_run(p: Profile, policy: CyclePolicy = CyclePolicy()) -> tuple | None:
+    """The full trading-cycle run on p, kept on p as _ipda_run is from the second call on; None on the first call.
+
+    A profile asked for one menu pays only for that menu's own rounds. The
+    record (executed, bounds, found, at, checkpoints) is compact: the
+    applicants of every executed cycle, cycle after cycle (cycle j is
+    executed[bounds[j]:bounds[j + 1]]); per applicant the round her cycle
+    was found in, and its index j, -1 for one who leaves unmatched; and the
+    checkpoints, each with the index of its round's first cycle, their
+    lists as array and bytearray. A checkpoint holds n_applicants +
+    n_institutions pointers and flags, so at most (list entries) /
+    (n_applicants + n_institutions) are kept, and the record stays smaller
+    than the profile's lists: every round takes one until they are that
+    many, then every other one is dropped and every other round takes one.
+    """
+    run = vars(p).get("_ttc_run")
+    if run is None:
+        vars(p)["_ttc_run"] = ()
+    elif not run:
+        trading, executed, bounds, checkpoints = _Trading(p), array("i"), array("i", [0]), []
+        at = array("i", [-1]) * p.n_applicants
+        agents = p.n_applicants + p.n_institutions
+        budget = max(1, (sum(map(len, p.applicant_prefs)) + sum(map(len, p.institution_prios))) // agents)
+        spacing = 1
+
+        def keep(chosen: list) -> None:
+            nonlocal spacing
+            if (trading.round - 1) % spacing == 0:
+                at_d, at_h = array("i", trading.at_d), array("i", trading.at_h)
+                checkpoints.append((len(bounds) - 1, (trading.round, at_d, at_h, bytearray(trading.live_d),
+                                                      bytearray(trading.live_h))))
+                if len(checkpoints) > budget:
+                    del checkpoints[1::2]
+                    spacing *= 2
+            for _, cycle in chosen:
+                for d in cycle:
+                    at[d] = len(bounds) - 1
+                executed.extend(cycle)
+                bounds.append(len(executed))
+
+        _trade(trading, policy, keep)
+        run = vars(p)["_ttc_run"] = executed, bounds, array("i", trading.cycling), at, checkpoints
+    return run or None
+
+
+def _ttc_without(i: int, p: Profile) -> frozenset[int]:
+    """The institutions left over by trading-cycle rounds with applicant i absent (present, never pointing).
+
+    Until i's cycle executes, the full run's pointer graph differs from the
+    one without her only in her own out-edge, so every cycle executed before
+    hers also stands without her, and the two runs agree up to that round.
+    The rounds without her resume the kept full run (_ttc_run) from the
+    last checkpoint at or before that round, with her cycle not standing
+    and its other applicants pointing at her. Which cycles execute first
+    does not change the institutions left over. On a profile's first call,
+    and for an applicant who leaves the full run unmatched, the rounds run
+    from the start.
+    """
+    run = _ttc_run(p)
+    if run is None or run[3][i] < 0:  # the profile's first call, or i leaves the full run unmatched
+        return _ttc_rounds(p, CyclePolicy(), absent=i)[1]
+    executed, bounds, found, at, checkpoints = run
+    start, checkpoint = checkpoints[bisect.bisect_right(checkpoints, at[i], key=itemgetter(0)) - 1]
+    k = checkpoint[0]
+    cycles = (executed[a:b] for a, b in zip(bounds[start:], bounds[start + 1:]))
+    standing = sorted((min(cycle), cycle.tolist()) for cycle in cycles if found[cycle[0]] <= k and i not in cycle)
+    trading = _Trading(p, i, checkpoint, standing)
+    _trade(trading, CyclePolicy())
+    return trading.survivors()
 
 
 def ttc(p: Profile, policy: CyclePolicy = CyclePolicy()) -> Matching:
@@ -299,6 +427,12 @@ def ipda_without(i: int, p: Profile) -> tuple[Matching, frozenset[int]]:
     final pointers: h is on it iff h lists i and its pointer went past her,
     leaving h a free seat or someone it ranks below her.
     """
+    mu, menu = _vacancy_chain(i, p)
+    return Matching(mu.items()), menu
+
+
+def _vacancy_chain(i: int, p: Profile) -> tuple[dict[int, int], frozenset[int]]:
+    """ipda_without's state and menu: the others' matching as applicant -> institution, and i's menu."""
     _check_entry(p, i)
     lists, rank, rows = p.institution_prios, p.applicant_rank, p.institution_rank
     mu, held, nxt = (state.copy() for state in _ipda_run(p))
@@ -307,8 +441,7 @@ def ipda_without(i: int, p: Profile) -> tuple[Matching, frozenset[int]]:
     while h is not None and (d := _next_accepting(lists, rank, held, nxt, h)) is not None:
         held[d] = rank[d][h]
         h, mu[d] = mu.get(d), h
-    menu = frozenset(h for h, row in enumerate(rows) if row.get(i, nxt[h]) < nxt[h])
-    return Matching(mu.items()), menu
+    return mu, frozenset(h for h, row in enumerate(rows) if row.get(i, nxt[h]) < nxt[h])
 
 
 def _next_accepting(lists: Sequence[Sequence[int]], rank: RankTable, held: list[int], nxt: list[int], a: int,

@@ -15,12 +15,17 @@ Engines and oracles:
   proposing deferred acceptance with the applicant excluded, read off its
   pointers (mdm.mechanisms.ipda_without): the full run, seats counted and
   kept on the profile, plus the vacancy chain of the seat she leaves (Blum,
-  Roth & Rothblum 1997), so the menus of one market share one run.
+  Roth & Rothblum 1997), so the menus of one market share one run; the
+  menu alone is taken (_vacancy_chain), with no Matching of the others.
   menu_da_from_matching reads the menu off the matching instead, with
   menu_from_matching (imported from mdm.market, beside blocking_pairs): a
   cross-check for verify.
 - menu_ttc, menu_sd: direct constructions for top trading cycles and serial
-  dictatorship.
+  dictatorship. From a profile's second call on, menu_ttc forks the full
+  trading-cycle run kept on the profile (mdm.mechanisms._ttc_without) at
+  its last checkpoint before the applicant's own cycle executes, so the
+  menus of one market share one run; each call forks anew, and no menu is
+  kept.
 - menu_da_applicant_proposing: the same menu as menu_da, but computed by
   running an applicant-proposing simulation on an augmented market.
 - menu_da_plan / complete_from_plan: a two-phase computation that first
@@ -58,9 +63,10 @@ from mdm.mechanisms import (
     _next_accepting,
     _propose,
     _ttc_rounds,
+    _ttc_without,
+    _vacancy_chain,
     apda,
     ipda,
-    ipda_without,
     receiver_optimal,
     resume_receiver_optimal,
     serial_dictatorship,
@@ -84,7 +90,12 @@ def _run_mechanism(mech: str, p: Profile, order: Sequence[int] | None) -> Matchi
 
 
 def _probe(mech: str, i: int, p: Profile, order: Sequence[int] | None, reports: Iterable[tuple[int, ...]]) -> Menu:
-    """Every institution the mechanism matches i to under one of her given reports, the others' held fixed."""
+    """Every institution the mechanism matches i to under one of her given reports, the others' held fixed.
+
+    order, if given, is read once here, so a one-shot iterable serves every report.
+    """
+    if order is not None:
+        order = _tuple_of("order", order)
     runs = (_run_mechanism(mech, p.with_prefs(i, report), order) for report in reports)
     return frozenset(mu.institution_of(i) for mu in runs) - {None}
 
@@ -123,8 +134,11 @@ def all_lists(m: int) -> list[tuple[int, ...]]:
 
 
 def menu_da_many_to_one(i: int, p: Profile) -> Menu:
-    """Menu of applicant i under the applicant-optimal stable mechanism, read off the pointers of ipda_without."""
-    return ipda_without(i, p)[1]
+    """Menu of applicant i under the applicant-optimal stable mechanism, read off the pointers of ipda_without.
+
+    Only the menu is taken (_vacancy_chain), so the others' Matching is never built.
+    """
+    return _vacancy_chain(i, p)[1]
 
 
 def menu_da(i: int, p: Profile) -> Menu:
@@ -146,11 +160,13 @@ def menu_ttc(i: int, p: Profile, check_invariance: bool = False) -> Menu:
     institution. In the end state every pointer walk terminates at i, so i
     completes a cycle by pointing at any survivor, even one whose priority
     list omits her: priorities steer the trading, they are not acceptability
-    constraints. With check_invariance the surviving set is recomputed under
-    a different cycle order and must agree.
+    constraints. From a profile's second call on, the rounds without i fork
+    the full run kept on the profile (mdm.mechanisms._ttc_without). With
+    check_invariance the surviving set is recomputed from the start, all
+    standing cycles executing each round, and must agree.
     """
     _check_entry(p, i, unit=True)
-    survivors = _ttc_rounds(p, CyclePolicy(), absent=i)[1]
+    survivors = _ttc_without(i, p)
     if check_invariance:
         alt = _ttc_rounds(p, CyclePolicy("all-simultaneous"), absent=i)[1]
         if alt != survivors:

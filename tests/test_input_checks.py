@@ -18,7 +18,7 @@ from mdm.auctions import (
 from mdm.generators import BitProbeParams, CycleGridParams, cycle_grid_params, gen_cycle_grid, gen_random_market
 from mdm.market import InstanceError, Profile, validate_profile
 from mdm.mechanisms import CyclePolicy, serial_dictatorship
-from mdm.menus import complete_from_plan, menu_da_plan, menu_oracle_singleton, menu_sd
+from mdm.menus import complete_from_plan, menu_da_plan, menu_oracle_exhaustive, menu_oracle_singleton, menu_sd
 from mdm.voting import VoteProfile, median_menu, median_outcome, serialize_votes
 
 BAD_ENTRIES = ["a", None, 1.0, True]
@@ -206,4 +206,13 @@ def test_serial_dictatorship_names_an_order_that_is_not_a_list():
 def test_menu_sd_names_an_order_that_is_not_a_list():
     with pytest.raises(InstanceError) as err:
         menu_sd(0, small(), 5)
+    assert str(err.value) == "order: expected a list, got 5"
+
+
+@pytest.mark.parametrize("oracle", [menu_oracle_singleton, menu_oracle_exhaustive])
+def test_menu_oracles_read_a_one_shot_order_once(oracle):
+    # Every probed report runs serial dictatorship in the same order, so an iterator must not be spent on the first.
+    assert oracle("sd", 1, small(), iter([0, 1])) == oracle("sd", 1, small(), [0, 1]) == frozenset({1})
+    with pytest.raises(InstanceError) as err:
+        oracle("sd", 1, small(), 5)
     assert str(err.value) == "order: expected a list, got 5"

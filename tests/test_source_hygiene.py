@@ -214,3 +214,29 @@ def test_one_function_names_the_capture_slot():
         if isinstance(n, ast.If) and "capture" in ast.unparse(n.test) and isinstance(n.body[0], ast.Continue)
     ]
     assert (len(writes), len(skips)) == (1, 1)
+
+
+def repointing_functions(tree: ast.Module) -> list[str]:
+    """Functions (methods and nested ones too) with a loop `while ... and not flags[...]`: each moves a pointer past
+    the agents that have left, the re-pointing step of top trading cycles."""
+    return [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            isinstance(loop, ast.While) and isinstance(loop.test, ast.BoolOp)
+            and any(isinstance(v, ast.UnaryOp) and isinstance(v.op, ast.Not) and isinstance(v.operand, ast.Subscript)
+                    for v in loop.test.values)
+            for loop in ast.walk(node)
+        )
+    ]
+
+
+def test_one_function_runs_the_trading_cycle_loop():
+    # ttc, the rounds with one applicant absent and the menu forks of the kept run all resume one state in one loop.
+    found = {
+        path.name: names
+        for path in sorted(SRC.glob("*.py"))
+        if (names := repointing_functions(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert found == {"mechanisms.py": ["_trade"]}
