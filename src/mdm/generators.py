@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from mdm.auctions import ValuationMatrix
-from mdm.market import InstanceError, Profile, _int_row_problems, _is_count, _is_index, _raise_problems
+from mdm.market import InstanceError, Profile, _check_seed, _int_row_problems, _is_count, _is_index, _raise_problems
 
 
 def gen_random_market(n: int, seed: int, truncation_prob: float = 0.0) -> Profile:
@@ -24,13 +24,14 @@ def gen_random_market(n: int, seed: int, truncation_prob: float = 0.0) -> Profil
 
     Every preference and priority list is an independent uniform
     permutation; with the given probability a list is truncated to a
-    uniform-length proper prefix, possibly empty. The same arguments always
-    produce the same Profile.
+    uniform-length proper prefix, possibly empty. The seed is any int, so
+    the same arguments always produce the same Profile.
     """
     if not _is_count(n, 1):
         raise InstanceError(f"need at least one agent per side, got {n!r}")
     if type(truncation_prob) not in (int, float) or not 0 <= truncation_prob <= 1:  # a bool is no probability
         raise InstanceError(f"truncation probability must be a number in [0, 1], got {truncation_prob!r}")
+    _check_seed(seed)
     rng = random.Random(seed)
 
     def draw_lists(count: int) -> tuple[tuple[int, ...], ...]:

@@ -59,6 +59,12 @@ def _is_count(x: object, lo: int = 0) -> bool:
     return type(x) is int and x >= lo
 
 
+def _check_seed(seed: object) -> None:
+    """The one rule for a seed, checked where it enters: an int, not a bool, of any sign, as the CLI's --seed takes."""
+    if type(seed) is not int:
+        raise InstanceError(f"seed must be an integer, got {seed!r}")
+
+
 def _check_index(i: object, n: int, noun: str) -> None:
     """Raise an InstanceError that names the value unless i is an index among n agents of the noun."""
     if not _is_index(i, n):

@@ -35,6 +35,7 @@ from mdm.market import (
     Profile,
     RankTable,
     _check_entry,
+    _check_seed,
     _Frozen,
     _is_count,
     _require_unit,
@@ -62,6 +63,7 @@ class ProposalPolicy(_Frozen):
         vars(self).update(kind=kind, seed=seed)
         if kind not in PROPOSAL_KINDS:
             raise InstanceError(f"unknown proposal policy {kind!r}")
+        _check_seed(seed)
 
 
 class CyclePolicy(_Frozen):
@@ -73,6 +75,7 @@ class CyclePolicy(_Frozen):
         vars(self).update(kind=kind, seed=seed)
         if kind not in CYCLE_KINDS:
             raise InstanceError(f"unknown cycle policy {kind!r}")
+        _check_seed(seed)
 
 
 class QueryLog(_Frozen):
@@ -445,9 +448,7 @@ def _vacancy_chain(i: int, p: Profile) -> tuple[dict[int, int], frozenset[int]]:
 
 
 def _next_accepting(lists: Sequence[Sequence[int]], rank: RankTable, held: list[int], nxt: list[int], a: int,
-                    log: QueryLog | None = None, holders: dict[int, int] | None = None,
-                    mu_d: dict[int, int] | None = None,
-                    nodes: dict[int, tuple[int, int | None]] | None = None) -> int | None:
+                    log: QueryLog | None = None, holders: dict[int, int] | None = None) -> int | None:
     """Advance proposer a down lists[a] to the next receiver b who would accept it: rank[b] ranks a above held[b].
 
     held is _propose's rank list, so each step makes one dict read and one
@@ -456,11 +457,8 @@ def _next_accepting(lists: Sequence[Sequence[int]], rank: RankTable, held: list[
     takes all, with no rank lookup logged. Events name the proposers as
     institutions. With holders, each receiver's held proposer, the log also
     records the lookup of that proposer's rank, as apda and ipda log it.
-
-    The plan's drain passes instead a gate that every applicant who lists
-    the proposer passes, with mu_d and nodes (an unroll DAG's node_of). Only
-    on such a step does the scan read her reservation: the fallback of her
-    node when she has one, else her match in mu_d.
+    The plan's drain passes its unroll DAG's gate as held: one rank list
+    with each applicant's reservation in place of the proposer she holds.
     """
     ranked = lists[a]
     m = len(lists)
@@ -474,13 +472,7 @@ def _next_accepting(lists: Sequence[Sequence[int]], rank: RankTable, held: list[
             if holders is not None and b in holders:
                 log.lookup(APPLICANT, b, holders[b])
         k += 1
-        r = rank[b].get(a, m)
-        if r < held[b]:
-            if nodes is not None:
-                node = nodes.get(b)
-                cur = mu_d.get(b) if node is None else node[1]
-                if cur is not None and r >= rank[b][cur]:
-                    continue
+        if rank[b].get(a, m) < held[b]:
             nxt[a] = k
             return b
     nxt[a] = k

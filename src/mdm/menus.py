@@ -36,8 +36,9 @@ Engines and oracles:
 The plan runs the proposing loop of mdm.mechanisms (_propose) with the
 applicant in its capture slot, one more than the number of institutions in
 the loop's rank list: an institution reaching her stops there until the
-drain moves it on. The drain uses the loop's scan (_next_accepting) too,
-with the DAG's fallbacks as reservations where she lists the proposer.
+drain moves it on. The drain runs the loop's scan (_next_accepting) with
+one acceptance rule too: its rank list is the unroll DAG's gate, which holds
+each applicant's reservation, so only this module knows that rule.
 """
 
 from __future__ import annotations
@@ -252,7 +253,13 @@ class UnrollDag:
     whose tentative match move wrote. The check after each step of the drain
     covers only those nodes and applicants, plus the frontier. The check at
     the end of each drained chain covers every node and index entry, and
-    rebuilds the fallback index and the source count.
+    rebuilds the fallback index, the source count and the gate.
+
+    The gate is the drain's rank list for the scan: per applicant, the rank
+    of her reservation, the fallback of her node if she has one, else her
+    tentative match, else n_institutions (unmatched); one more for the
+    designated applicant, who takes every offer. open_gate builds it, and
+    add_node, move and remove_chain write it wherever a reservation changes.
     """
 
     def __init__(self, applicant: int) -> None:
@@ -265,7 +272,8 @@ class UnrollDag:
         self.sources = 0
         self._touched: set[DagNode] = set()
         self._moved: set[int] = set()
-        self.gate: list[int] | None = None  # the drain's stand-in for the scan's rank list (_next_interested)
+        self.gate: list[int] | None = None  # the drain's rank list, built on its first scan (open_gate)
+        self._rank, self._m, self._mu = (), 0, {}  # what the gate is read from, set by open_gate
 
     def __repr__(self) -> str:  # state dump for invariant failures
         edges = sorted((u, v) for u, v in self.out.items())
@@ -289,6 +297,8 @@ class UnrollDag:
         if d == self.applicant or d in self.node_of or node in self.nodes:
             raise AssertionError(f"cannot add node {node} to {self!r}")
         self.node_of[d] = node
+        if self.gate is not None:
+            self.gate[d] = self._rank[d].get(h, self._m)
         return self._insert(node)
 
     def add_edge(self, u: DagNode, v: DagNode) -> None:
@@ -307,6 +317,8 @@ class UnrollDag:
         """Set applicant d's tentative match to h and mark her for the next check."""
         mu[d] = h
         self._moved.add(d)
+        if self.gate is not None and d not in self.node_of:
+            self.gate[d] = self._rank[d][h]
 
     def chain_from(self, node: DagNode) -> list[DagNode]:
         """The maximal path of out-edges starting at node."""
@@ -344,7 +356,21 @@ class UnrollDag:
                 self.sources -= 1
             else:
                 del self.node_of[node[0]]
+                if self.gate is not None:
+                    self.gate[node[0]] = self._rank[node[0]].get(self._mu.get(node[0]), self._m)
             touched.add(node)
+
+    def open_gate(self, q: Profile, mu: dict[int, int]) -> list[int]:
+        """Build the gate on q from node_of and mu; add_node, move and remove_chain keep it current from then on."""
+        self._rank, self._m, self._mu = q.applicant_rank, q.n_institutions, mu
+        self.gate = self._reservations(mu)
+        return self.gate
+
+    def _reservations(self, mu: dict[int, int]) -> list[int]:
+        node_of, m = self.node_of, self._m
+        gate = [row.get(node_of[d][1] if d in node_of else mu.get(d), m) for d, row in enumerate(self._rank)]
+        gate[self.applicant] = m + 1
+        return gate
 
     def _fail(self, reason: str) -> None:
         raise AssertionError(f"unroll dag invariant violated: {reason}\n{self!r}")
@@ -432,6 +458,8 @@ class UnrollDag:
             for node in frontier:
                 if node in self.out:
                     self._fail(f"frontier node {node} has an out-edge")
+        elif self.gate is not None and self.gate != self._reservations(mu):
+            self._fail("gate does not match the reservations in node_of and mu")
 
 
 class MenuPlan(_Frozen):
@@ -481,15 +509,10 @@ def _next_interested(
     An applicant already holding a dag node compares h against that node's
     fallback institution, not against her tentative match: if the chain
     through her is unrolled, the fallback is what she ends up with. The scan
-    reads that reservation, from node_of and mu, only on a step where the
-    applicant lists h: for its rank list it takes the DAG's gate, built on
-    the first scan, which holds n_institutions for everyone and one more for i.
+    takes the DAG's gate as its rank list, built from mu on the first call.
     """
-    gate = dag.gate
-    if gate is None:
-        gate = dag.gate = [q.n_institutions] * q.n_applicants
-        gate[i] += 1
-    return _next_accepting(q.institution_prios, q.applicant_rank, gate, nxt, h, log, mu_d=mu, nodes=dag.node_of)
+    gate = dag.gate if dag.gate is not None else dag.open_gate(q, mu)
+    return _next_accepting(q.institution_prios, q.applicant_rank, gate, nxt, h, log)
 
 
 def menu_da_plan(i: int, p: Profile, log: QueryLog | None = None) -> MenuPlan:

@@ -38,6 +38,7 @@ from mdm.market import (
     INSTITUTION,
     InstanceError,
     Profile,
+    _check_seed,
     _is_count,
     blocking_pairs,
     matched_sets,
@@ -544,6 +545,7 @@ def _job(suite: str, trials: int | str | None, size: int | None, seed: int) -> _
     size = size if size is not None else default_size
     if not _is_count(size, 1):
         raise InstanceError(f"suite size must be at least 1, got {size!r}")
+    _check_seed(seed)
     if trials == "exhaustive":
         if suite != "strategyproofness":
             raise InstanceError("only the strategyproofness suite has an exhaustive mode")

@@ -1077,3 +1077,39 @@ def complete_from_plan_reference(
                 mu[d] = h
             d_term.add(d)
     return resume_receiver_optimal_reference(plan.market.with_prefs(i, prefs), mu, nxt, d_term, log), mu, nxt
+
+
+def _square_market(prefs: Sequence[Sequence[int]], prios: Sequence[Sequence[int]]) -> Profile:
+    n = len(prefs)
+    return Profile(
+        tuple(f"d{d}" for d in range(n)),
+        tuple(f"h{h}" for h in range(n)),
+        tuple(map(tuple, prefs)),
+        tuple(map(tuple, prios)),
+    )
+
+
+def latin_square_market(n: int) -> Profile:
+    """Applicant d ranks d, d+1, ..., institution h ranks h+1, h+2, ... (mod n): a cyclic market with n stable
+    matchings (Gusfield & Irving 1989), on which the chain phase reads every list entry."""
+    return _square_market(
+        [[(d + k) % n for k in range(n)] for d in range(n)],
+        [[(h + 1 + k) % n for k in range(n)] for h in range(n)],
+    )
+
+
+def common_lists_market(n: int) -> Profile:
+    """Every applicant ranks 0, 1, ..., n-1, and so does every institution."""
+    return _square_market([range(n)] * n, [range(n)] * n)
+
+
+def reversed_priorities_market(n: int) -> Profile:
+    """Every applicant ranks 0, 1, ..., n-1; every institution ranks n-1 down to 0."""
+    return _square_market([range(n)] * n, [range(n - 1, -1, -1)] * n)
+
+
+STRUCTURED_FAMILIES = {
+    "latin-square": latin_square_market,
+    "common-lists": common_lists_market,
+    "reversed-priorities": reversed_priorities_market,
+}

@@ -17,8 +17,9 @@ from mdm.auctions import (
 )
 from mdm.generators import BitProbeParams, CycleGridParams, cycle_grid_params, gen_cycle_grid, gen_random_market
 from mdm.market import InstanceError, Profile, validate_profile
-from mdm.mechanisms import CyclePolicy, serial_dictatorship
+from mdm.mechanisms import CyclePolicy, ProposalPolicy, apda, serial_dictatorship, ttc
 from mdm.menus import complete_from_plan, menu_da_plan, menu_oracle_exhaustive, menu_oracle_singleton, menu_sd
+from mdm.verify import run_all, run_suite
 from mdm.voting import VoteProfile, median_menu, median_outcome, serialize_votes
 
 BAD_ENTRIES = ["a", None, 1.0, True]
@@ -216,3 +217,30 @@ def test_menu_oracles_read_a_one_shot_order_once(oracle):
     with pytest.raises(InstanceError) as err:
         oracle("sd", 1, small(), 5)
     assert str(err.value) == "order: expected a list, got 5"
+
+
+SEED_TAKERS = {
+    "proposal-policy": lambda seed: ProposalPolicy("seeded-random", seed),
+    "cycle-policy": lambda seed: CyclePolicy("seeded-random", seed),
+    "by-index-policy": lambda seed: ProposalPolicy("by-index", seed),
+    "random-market": lambda seed: gen_random_market(3, seed),
+    "run-suite": lambda seed: run_suite("stability", trials=1, seed=seed),
+    "run-all": lambda seed: run_all(seed),
+}
+
+
+@pytest.mark.parametrize("seed", [None, [1], True, 1.0, "1"], ids=repr)
+@pytest.mark.parametrize("take", SEED_TAKERS.values(), ids=SEED_TAKERS.keys())
+def test_a_seed_that_is_not_an_integer_is_rejected_where_it_enters(take, seed):
+    with pytest.raises(InstanceError) as err:
+        take(seed)
+    assert str(err.value) == f"seed must be an integer, got {seed!r}"
+
+
+@pytest.mark.parametrize("seed", [0, -7, 2**70])
+def test_any_integer_is_a_seed_and_draws_the_same_each_time(seed):
+    p = gen_random_market(6, seed, 0.3)
+    assert p == gen_random_market(6, seed, 0.3)
+    assert ttc(p, CyclePolicy("seeded-random", seed)) == ttc(p, CyclePolicy("seeded-random", seed))
+    assert apda(p, ProposalPolicy("seeded-random", seed)) == apda(p, ProposalPolicy("seeded-random", seed))
+    assert run_suite("stability", trials=2, seed=seed).ok

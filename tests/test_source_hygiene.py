@@ -240,3 +240,23 @@ def test_one_function_runs_the_trading_cycle_loop():
         if (names := repointing_functions(ast.parse(path.read_text(encoding="utf-8"))))
     }
     assert found == {"mechanisms.py": ["_trade"]}
+
+
+def test_the_scan_has_one_acceptance_rule_and_no_dag_parameters():
+    # The plan's drain passes its unroll DAG's gate as the scan's rank list, so the scan takes the same parameters for
+    # every walk and only menus.py knows the DAG's node shape.
+    tree = ast.parse((SRC / "mechanisms.py").read_text(encoding="utf-8"))
+    scan = next(top for top in tree.body if getattr(top, "name", None) == "_next_accepting")
+    params = scan.args
+    assert [a.arg for a in (*params.posonlyargs, *params.args, *params.kwonlyargs)] == [
+        "lists", "rank", "held", "nxt", "a", "log", "holders"
+    ]
+    assert (params.vararg, params.kwarg) == (None, None)
+    naming = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any("node_of" in (getattr(n, "id", None), getattr(n, "arg", None), getattr(n, "attr", None))
+                for n in ast.walk(node))
+    ]
+    assert naming == []

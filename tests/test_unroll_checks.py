@@ -360,6 +360,29 @@ def test_an_applicant_with_a_node_is_offered_against_its_fallback_even_when_her_
     assert _next_interested(q, 0, {1: 2}, UnrollDag(0), [0, 0, 0], 0, None) == 1
 
 
+def test_the_gate_follows_every_reservation_write_and_the_end_of_the_chain_rebuilds_it():
+    # Applicant 1 ranks 1 > 0 > 2 and holds 0 under source (0, 0); applicant 2 ranks 2 > 0 and holds 2, with no node.
+    q = Profile(("i", "d", "e"), ("h", "f", "c"), ((), (1, 0, 2), (2, 0)), ((1, 2), (1,), (2,)))
+    dag = UnrollDag(0)
+    a = dag.add_source(0)
+    mu = {1: 0, 2: 2}
+    assert dag.open_gate(q, mu) == [4, 1, 0]  # the designated applicant takes every offer: one past unmatched
+    b = dag.add_node(1, 1)
+    dag.add_edge(a, b)
+    assert dag.gate == [4, 0, 0]  # her node's fallback, not her match, is her reservation
+    dag.move(mu, 2, 0)
+    dag.move(mu, 1, 0)
+    assert dag.gate == [4, 0, 1]  # a move counts only for an applicant without a node
+    dag.check(mu, None, None, {0})
+    dag.remove_chain([b])
+    assert dag.gate == [4, 1, 1]  # back to her tentative match
+    dag.check(mu, None, None, {0})
+    dag.gate[2] = 3
+    dag.check(mu, {a}, 0, {0})  # the step check leaves the gate to the end of the chain
+    with pytest.raises(AssertionError, match="unroll dag invariant violated: gate does not match the reservations"):
+        dag.check(mu, None, None, {0})
+
+
 def _pred_into_source(dag, a, b):
     dag.out[b] = a  # an edge b -> a with its index entry, so only the rule on sources breaks
     dag.preds[a] = {b}
