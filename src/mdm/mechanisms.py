@@ -6,7 +6,9 @@ receiver_optimal: the computation of the non-proposing side's optimal stable
 matching that reads the proposing side's lists strictly in rank order; both
 phases take the proposing side as a parameter and never transpose the profile.
 ipda_without keeps ipda's final state on the profile and resumes it with the
-vacancy chain of one applicant's seat (Blum, Roth & Rothblum 1997).
+vacancy chain of one applicant's seat (Blum, Roth & Rothblum 1997); the
+chain scans rank rows kept beside that state, filled as chains read them,
+while every other deferred-acceptance walk scans with _next_accepting.
 Top trading cycles runs one resumable state (_Trading) in one loop (_trade):
 ttc and the rounds with one applicant absent start it from scratch, and
 _ttc_without forks the full run kept on the profile at a checkpoint before
@@ -435,30 +437,64 @@ def ipda_without(i: int, p: Profile) -> tuple[Matching, frozenset[int]]:
 
 
 def _vacancy_chain(i: int, p: Profile) -> tuple[dict[int, int], frozenset[int]]:
-    """ipda_without's state and menu: the others' matching as applicant -> institution, and i's menu."""
+    """ipda_without's state and menu: the others' matching as applicant -> institution, and i's menu.
+
+    The chain scans rank rows kept on p beside _ipda_run, with its lifecycle:
+    rows[h][k] is the rank that applicant lists[h][k] gives h, len(lists) if
+    she does not list h, and -1 until a chain first reads it. A step is one
+    comparison of the row with held, which holds -1 for i, so she turns
+    every seat down. An unknown entry leaves the fast loop, is filled from
+    applicant_rank and tested there. A row is allocated when a chain first
+    reaches its institution, so one menu pays only for the entries it reads.
+    """
     _check_entry(p, i)
-    lists, rank, rows = p.institution_prios, p.applicant_rank, p.institution_rank
+    lists, rank, m = p.institution_prios, p.applicant_rank, p.n_institutions
+    rows = vars(p).get("_chain_rows")
+    if rows is None:
+        rows = vars(p)["_chain_rows"] = [None] * m
     mu, held, nxt = (state.copy() for state in _ipda_run(p))
     held[i] = -1
     h = mu.pop(i, None)
-    while h is not None and (d := _next_accepting(lists, rank, held, nxt, h)) is not None:
-        held[d] = rank[d][h]
+    while h is not None:
+        ranked, row = lists[h], rows[h]
+        if row is None:
+            row = rows[h] = [-1] * len(ranked)
+        k, end = nxt[h], len(ranked)
+        while True:
+            while k < end and row[k] >= held[ranked[k]]:
+                k += 1
+            if k == end or row[k] >= 0:
+                break
+            d = ranked[k]
+            r = row[k] = rank[d].get(h, m)
+            if r < held[d]:
+                break
+            k += 1
+        if k == end:
+            nxt[h] = k
+            break
+        nxt[h] = k + 1
+        d = ranked[k]
+        held[d] = row[k]
         h, mu[d] = mu.get(d), h
-    return mu, frozenset(h for h, row in enumerate(rows) if row.get(i, nxt[h]) < nxt[h])
+    return mu, frozenset(h for h, row in enumerate(p.institution_rank) if row.get(i, nxt[h]) < nxt[h])
 
 
 def _next_accepting(lists: Sequence[Sequence[int]], rank: RankTable, held: list[int], nxt: list[int], a: int,
                     log: QueryLog | None = None, holders: dict[int, int] | None = None) -> int | None:
     """Advance proposer a down lists[a] to the next receiver b who would accept it: rank[b] ranks a above held[b].
 
-    held is _propose's rank list, so each step makes one dict read and one
-    list read. An unlisted proposer ranks len(lists): a receiver holding -1
-    takes nobody, and one holding more than len(lists), the capture receiver,
-    takes all, with no rank lookup logged. Events name the proposers as
-    institutions. With holders, each receiver's held proposer, the log also
-    records the lookup of that proposer's rank, as apda and ipda log it.
-    The plan's drain passes its unroll DAG's gate as held: one rank list
-    with each applicant's reservation in place of the proposer she holds.
+    The scan of the proposing loop (_propose, so apda, ipda and the plan's
+    capture run), of resume_receiver_optimal and of the plan's drain; the
+    vacancy chain has its own loop on kept rank rows. held is _propose's
+    rank list, so each step makes one dict read and one list read. An
+    unlisted proposer ranks len(lists): a receiver holding more than
+    len(lists), the capture receiver, takes all, with no rank lookup
+    logged. Events name the proposers as institutions. With holders, each
+    receiver's held proposer, the log also records the lookup of that
+    proposer's rank, as apda and ipda log it. The plan's drain passes its
+    unroll DAG's gate as held: one rank list with each applicant's
+    reservation in place of the proposer she holds.
     """
     ranked = lists[a]
     m = len(lists)

@@ -17,6 +17,9 @@ Engines and oracles:
   kept on the profile, plus the vacancy chain of the seat she leaves (Blum,
   Roth & Rothblum 1997), so the menus of one market share one run; the
   menu alone is taken (_vacancy_chain), with no Matching of the others.
+  The chains scan rank rows kept on the profile beside the run, each entry
+  filled from the rank dicts the first time a chain reads it, so the menus
+  of one market also share every rank they read.
   menu_da_from_matching reads the menu off the matching instead, with
   menu_from_matching (imported from mdm.market, beside blocking_pairs): a
   cross-check for verify.

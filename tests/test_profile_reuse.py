@@ -1,10 +1,12 @@
-"""Derived profiles carry their parent's validation pass and share its rank tables, but not its kept ipda run."""
+"""Derived profiles carry their parent's validation pass and share its rank tables, but not its kept ipda run or chain rows."""
 
 import gc
 import pickle
 import weakref
 
 import pytest
+
+from oracles import ipda_without_reference
 
 import mdm.mechanisms
 import mdm.menus
@@ -177,6 +179,60 @@ def test_a_profile_with_a_kept_run_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def profile_with_rows() -> Profile:
+    p = fresh(checked_market())
+    for i in range(p.n_applicants):
+        menu_da(i, p)
+    assert any(row is not None for row in vars(p)["_chain_rows"])
+    return p
+
+
+def test_derived_and_unpickled_profiles_carry_no_chain_rows():
+    p = profile_with_rows()
+    for q in (p.with_prefs(3, (4, 0, 5)), p.with_prefs(0, ()), p.transposed(), pickle.loads(pickle.dumps(p))):
+        assert "_chain_rows" not in vars(q)
+        ref = fresh(q)
+        assert [ipda_without(i, q) for i in range(q.n_applicants)] == [
+            ipda_without(i, ref) for i in range(ref.n_applicants)
+        ]
+
+
+def test_eq_and_hash_ignore_the_chain_rows():
+    p = fresh(checked_market())
+    before = hash(p)
+    p = profile_with_rows()
+    assert hash(p) == before and p == fresh(p) and fresh(p) == p
+
+
+def test_a_profile_with_chain_rows_is_freed_without_the_cycle_collector():
+    p = profile_with_rows()
+    ref = weakref.ref(p)
+    gc.disable()
+    try:
+        del p
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_one_menu_allocates_rows_only_for_the_institutions_its_chain_scanned():
+    # An institution scans in i's chain iff it loses an applicant: each who moves moves up and never comes back. So
+    # the scanning institutions are those whose applicants differ between the full run and the run without i.
+    p = gen_random_market(30, 4, truncation_prob=0.3)
+    full = ipda(p).by_applicant
+    some_left_out = 0
+    for i in range(p.n_applicants):
+        q = fresh(p)
+        menu_da(i, q)
+        others = ipda_without_reference(i, p)[0].by_applicant
+        changed = {h for h in range(p.n_institutions)
+                   if {d for d, x in full.items() if x == h} != {d for d, x in others.items() if x == h}}
+        rows = vars(q)["_chain_rows"]
+        assert {h for h, row in enumerate(rows) if row is not None} == changed, i
+        some_left_out += 0 < len(changed) < p.n_institutions
+    assert some_left_out
 
 
 def test_menu_sd_derives_no_profile(monkeypatch):
