@@ -11,8 +11,8 @@ chain scans rank rows kept beside that state, filled as chains read them,
 while every other deferred-acceptance walk scans with _next_accepting.
 Top trading cycles runs one resumable state (_Trading) in one loop (_trade):
 ttc and the rounds with one applicant absent start it from scratch, and
-_ttc_without forks the full run kept on the profile at a checkpoint before
-the applicant's own cycle executes.
+_ttc_without forks the full run kept on the profile at the last checkpoint
+at which the applicant is still in the market.
 Proposal and cycle policies exist so tests can check that outcomes do not
 depend on them; the public default is by-index.
 """
@@ -26,7 +26,6 @@ from array import array
 from collections import deque
 from functools import partial
 from itertools import compress
-from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from mdm.market import (
@@ -313,23 +312,21 @@ def _ttc_run(p: Profile, policy: CyclePolicy = CyclePolicy()) -> tuple | None:
     """The full trading-cycle run on p, kept on p as _ipda_run is from the second call on; None on the first call.
 
     A profile asked for one menu pays only for that menu's own rounds. The
-    record (executed, bounds, found, at, checkpoints) is compact: the
-    applicants of every executed cycle, cycle after cycle (cycle j is
-    executed[bounds[j]:bounds[j + 1]]); per applicant the round her cycle
-    was found in, and its index j, -1 for one who leaves unmatched; and the
-    checkpoints, each with the index of its round's first cycle, their
-    lists as array and bytearray. A checkpoint holds n_applicants +
-    n_institutions pointers and flags, so at most (list entries) /
-    (n_applicants + n_institutions) are kept, and the record stays smaller
-    than the profile's lists: every round takes one until they are that
-    many, then every other one is dropped and every other round takes one.
+    record (executed, bounds, found, checkpoints) is compact: the applicants
+    of every executed cycle, cycle after cycle (cycle j is
+    executed[bounds[j]:bounds[j + 1]]); per applicant the round her cycle was
+    found in; and the checkpoints, each with the index of its round's first
+    cycle, their lists as array and bytearray. A checkpoint holds one pointer
+    and one flag per agent, so at most (list entries) / (agents) are kept,
+    and the record stays smaller than the profile's lists: every round takes
+    one until they are that many, then every other one is dropped and every
+    other round takes one.
     """
     run = vars(p).get("_ttc_run")
     if run is None:
         vars(p)["_ttc_run"] = ()
     elif not run:
         trading, executed, bounds, checkpoints = _Trading(p), array("i"), array("i", [0]), []
-        at = array("i", [-1]) * p.n_applicants
         agents = p.n_applicants + p.n_institutions
         budget = max(1, (sum(map(len, p.applicant_prefs)) + sum(map(len, p.institution_prios))) // agents)
         spacing = 1
@@ -344,38 +341,38 @@ def _ttc_run(p: Profile, policy: CyclePolicy = CyclePolicy()) -> tuple | None:
                     del checkpoints[1::2]
                     spacing *= 2
             for _, cycle in chosen:
-                for d in cycle:
-                    at[d] = len(bounds) - 1
                 executed.extend(cycle)
                 bounds.append(len(executed))
 
         _trade(trading, policy, keep)
-        run = vars(p)["_ttc_run"] = executed, bounds, array("i", trading.cycling), at, checkpoints
+        run = vars(p)["_ttc_run"] = executed, bounds, array("i", trading.cycling), checkpoints
     return run or None
 
 
 def _ttc_without(i: int, p: Profile) -> frozenset[int]:
     """The institutions left over by trading-cycle rounds with applicant i absent (present, never pointing).
 
-    Until i's cycle executes, the full run's pointer graph differs from the
-    one without her only in her own out-edge, so every cycle executed before
-    hers also stands without her, and the two runs agree up to that round.
-    The rounds without her resume the kept full run (_ttc_run) from the
-    last checkpoint at or before that round, with her cycle not standing
+    While i is in the full run's market, no cycle through her has executed,
+    so the full run's pointer graph differs from the one without her only in
+    her own out-edge: every cycle executed so far also stands without her,
+    and the two runs agree until she leaves. The rounds without her resume
+    the kept full run (_ttc_run) from the last checkpoint at which she is
+    still in the market, with her cycle, if one stands, no longer standing
     and its other applicants pointing at her. Which cycles execute first
-    does not change the institutions left over. On a profile's first call,
-    and for an applicant who leaves the full run unmatched, the rounds run
-    from the start.
+    does not change the institutions left over. If no checkpoint has her in
+    the market (the profile's first call, or she is out before round 1's
+    cycles execute), the rounds run from round 1.
     """
-    run = _ttc_run(p)
-    if run is None or run[3][i] < 0:  # the profile's first call, or i leaves the full run unmatched
-        return _ttc_rounds(p, CyclePolicy(), absent=i)[1]
-    executed, bounds, found, at, checkpoints = run
-    start, checkpoint = checkpoints[bisect.bisect_right(checkpoints, at[i], key=itemgetter(0)) - 1]
-    k = checkpoint[0]
-    cycles = (executed[a:b] for a, b in zip(bounds[start:], bounds[start + 1:]))
-    standing = sorted((min(cycle), cycle.tolist()) for cycle in cycles if found[cycle[0]] <= k and i not in cycle)
-    trading = _Trading(p, i, checkpoint, standing)
+    executed, bounds, found, checkpoints = _ttc_run(p) or ((),) * 4
+    j = bisect.bisect_left(checkpoints, True, key=lambda c: not c[1][3][i])  # her live flag only falls
+    if j:
+        start, checkpoint = checkpoints[j - 1]
+        k = checkpoint[0]
+        cycles = (executed[a:b] for a, b in zip(bounds[start:], bounds[start + 1:]))
+        standing = sorted((min(cycle), cycle.tolist()) for cycle in cycles if found[cycle[0]] <= k and i not in cycle)
+        trading = _Trading(p, i, checkpoint, standing)
+    else:
+        trading = _Trading(p, i)
     _trade(trading, CyclePolicy())
     return trading.survivors()
 

@@ -26,9 +26,9 @@ Engines and oracles:
 - menu_ttc, menu_sd: direct constructions for top trading cycles and serial
   dictatorship. From a profile's second call on, menu_ttc forks the full
   trading-cycle run kept on the profile (mdm.mechanisms._ttc_without) at
-  its last checkpoint before the applicant's own cycle executes, so the
-  menus of one market share one run; each call forks anew, and no menu is
-  kept.
+  its last checkpoint at which the applicant is still in the market, so
+  the menus of one market share one run; each call forks anew, and no menu
+  is kept.
 - menu_da_applicant_proposing: the same menu as menu_da, but computed by
   running an applicant-proposing simulation on an augmented market.
 - menu_da_plan / complete_from_plan: a two-phase computation that first

@@ -25,16 +25,15 @@ def lines_of(code) -> set[int]:
     return {line for _, line in dis.findlinestarts(code) if line} | set().union(*map(lines_of, nested))
 
 
-def trace(frame, event, arg):
-    if not frame.f_code.co_filename.startswith(str(SRC)):
-        return None
-
-    def line(frame, event, arg):
-        if event == "line":
-            ran.add((frame.f_code.co_filename, frame.f_lineno))
-        return line
-
+def line(frame, event, arg):
+    if event == "line":
+        ran.add((frame.f_code.co_filename, frame.f_lineno))
     return line
+
+
+def trace(frame, event, arg):
+    # One module-level local tracer: a closure made per call would be allocated inside the tests' tracemalloc windows.
+    return line if frame.f_code.co_filename.startswith(str(SRC)) else None
 
 
 if __name__ == "__main__":

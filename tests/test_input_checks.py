@@ -172,6 +172,19 @@ def test_a_field_that_is_not_a_list_is_an_instance_error_naming_it(build, text):
     assert str(err.value) == text
 
 
+def test_a_row_whose_iterator_fails_is_an_instance_error_naming_every_field():
+    # The row claims to be iterable, so no field can be named: its failing iterator is spent.
+    class Row:
+        def __iter__(self):
+            raise TypeError("no rows")
+
+    with pytest.raises(InstanceError) as err:
+        Profile(("a",), ("x",), (Row(),), ((0,),))
+    assert str(err.value) == (
+        "applicant_names, institution_names, applicant_prefs, institution_prios, capacities: expected lists"
+    )
+
+
 @pytest.mark.parametrize(
     ("build", "text"),
     [

@@ -1,10 +1,11 @@
 """TTC menus forked from one kept trading-cycle run, checked against the rounds run from scratch.
 
-Until applicant i's cycle executes, the full run and the run without her agree, so menu_ttc resumes the full run,
-kept on the profile, from a checkpoint taken before her cycle, with her cycle no longer standing. The first call on a
-profile and every applicant who leaves the full run unmatched take the rounds from the start. oracles.py keeps the
-rounds rebuilt from scratch each round: both must give every applicant the same surviving institutions, whatever
-order the menus are taken in and whichever cycle policy the kept run executed.
+While applicant i is in the full run's market, the full run and the run without her agree, so menu_ttc resumes the
+full run, kept on the profile, from the last checkpoint at which she is still in the market, with her cycle, if one
+stands, no longer standing. The first call on a profile and an applicant already out of the market at the first
+checkpoint take the rounds from round 1. oracles.py keeps the rounds rebuilt from scratch each round: both must give
+every applicant the same surviving institutions, whatever order the menus are taken in and whichever cycle policy the
+kept run executed.
 """
 
 import gc
@@ -22,7 +23,7 @@ import mdm.mechanisms
 import mdm.menus
 from mdm.generators import gen_random_market
 from mdm.market import Profile, validate_profile
-from mdm.mechanisms import CYCLE_KINDS, CyclePolicy, _Trading, _ttc_run
+from mdm.mechanisms import CYCLE_KINDS, CyclePolicy, _Trading, _ttc_run, ttc
 from mdm.menus import menu_ttc
 
 TRUNCATIONS = (0.0, 0.3, 0.7)
@@ -102,7 +103,7 @@ def test_unequal_sides_leave_applicants_unmatched_and_they_get_the_reference_men
         m = n // 3
         p = market(n, m, [ranked(rng, m, 0.3) for _ in range(n)], [ranked(rng, n, 0.3) for _ in range(m)])
         assert_forks_match(p, rng)
-        unmatched += sum(at < 0 for at in _ttc_run(p)[3])
+        unmatched += n - len(ttc(p).pairs)
     assert unmatched > 100
 
 
@@ -119,7 +120,7 @@ def test_a_thinned_record_still_forks_every_applicant():
     # resume from round 1.
     p = short_lists(40)
     assert_forks_match(p, random.Random(0))
-    executed, bounds, found, at, checkpoints = _ttc_run(p)
+    executed, bounds, found, checkpoints = _ttc_run(p)
     assert (len(bounds) - 1, len(checkpoints)) == (40, 1)
 
 
@@ -217,3 +218,49 @@ def test_the_record_is_smaller_than_the_profiles_lists(family):
     assert _ttc_run(p) is None
     record, size = traced(lambda: _ttc_run(p))
     assert record and size < sum(map(sys.getsizeof, lists))
+
+
+def resumed_checkpoints(monkeypatch) -> list:
+    """Patches _Trading.__init__ to note the checkpoint each run starts from, None for round 1."""
+    starts = []
+    real = _Trading.__init__
+
+    def spy(self, p, absent=None, checkpoint=None, standing=None):
+        starts.append(checkpoint)
+        real(self, p, absent, checkpoint, standing)
+
+    monkeypatch.setattr(_Trading, "__init__", spy)
+    return starts
+
+
+def assert_each_menu_resumes_her_last_live_checkpoint(p: Profile, monkeypatch) -> None:
+    """After the kept run is built, each menu resumes the last checkpoint with her in the market, or round 1 if none."""
+    expected = [ttc_rounds_reference(p, CYCLE_KINDS[0], 0, i)[1] for i in range(p.n_applicants)]
+    checkpoints = [c for _, c in kept(p)[-1]]
+    starts = resumed_checkpoints(monkeypatch)
+    for i in range(p.n_applicants):
+        live = [c for c in checkpoints if c[3][i]]
+        assert menu_ttc(i, p) == expected[i], i
+        assert starts.pop() is (live[-1] if live else None), i
+        assert (live == []) == (not checkpoints[0][3][i]), i  # the flags only fall
+
+
+@pytest.mark.parametrize("truncation", [0.0, 0.3])
+@pytest.mark.parametrize("n", range(10, 41))
+def test_a_menu_starts_from_round_1_only_for_an_applicant_out_at_the_first_checkpoint(n, truncation, monkeypatch):
+    # A third as many institutions as applicants: most applicants leave the full run unmatched, and still fork.
+    rng = random.Random(f"last-live/{n}/{truncation}")
+    m = n // 3
+    p = market(n, m, [ranked(rng, m, truncation) for _ in range(n)], [ranked(rng, n, truncation) for _ in range(m)])
+    assert_each_menu_resumes_her_last_live_checkpoint(p, monkeypatch)
+
+
+def test_applicants_out_of_the_market_at_round_1_take_the_rounds_from_round_1(monkeypatch):
+    # d0 lists nothing; d1 lists only h1, whose priority list is empty, so h1 and then d1 leave before any cycle
+    # executes. d2 and h0 trade in round 1. h2 ranks d0 then d1, who stay in the market only while absent, so each
+    # keeps h2 on her menu.
+    p = market(4, 3, [(), (1,), (0,), (2, 0)], [(2,), (), (0, 1)])
+    assert_each_menu_resumes_her_last_live_checkpoint(p, monkeypatch)
+    first = _ttc_run(p)[-1][0][1]
+    assert first[3][:2] == bytearray(2)
+    assert menu_ttc(0, p) == menu_ttc(1, p) == frozenset({2})
