@@ -155,10 +155,12 @@ class Profile(_Frozen):
     parent's pass, share the rank tables that did not change, and take
     unit_capacity from a parent with the same capacities. The mechanisms
     keep their full runs on the instance the same way (mdm.mechanisms:
-    _ipda_run, _ttc_run), and the vacancy chains their rank rows
-    (_chain_rows): derived profiles start without them, pickling drops
-    them, == and hash ignore them, and they hold no reference to the
-    profile, so it is freed without the cycle collector.
+    _ipda_run, _ttc_run), and the menu engines' unlogged institution-
+    proposing walks (vacancy chains, plan drains, completions) their rank
+    rows (_chain_rows), which hold this profile's ranks outside a running
+    completion: derived profiles start without them, pickling drops them,
+    == and hash ignore them, and they hold no reference to the profile, so
+    it is freed without the cycle collector.
     """
 
     __match_args__ = ("applicant_names", "institution_names", "applicant_prefs", "institution_prios", "capacities")

@@ -6,9 +6,12 @@ receiver_optimal: the computation of the non-proposing side's optimal stable
 matching that reads the proposing side's lists strictly in rank order; both
 phases take the proposing side as a parameter and never transpose the profile.
 ipda_without keeps ipda's final state on the profile and resumes it with the
-vacancy chain of one applicant's seat (Blum, Roth & Rothblum 1997); the
-chain scans rank rows kept beside that state, filled as chains read them,
-while every other deferred-acceptance walk scans with _next_accepting.
+vacancy chain of one applicant's seat (Blum, Roth & Rothblum 1997). Every
+unlogged institution-proposing walk of the menu engines (the vacancy chain,
+the plan's drain, the chain phase of a completion) scans one set of rank
+rows kept beside that state (_kept_rows), filled as walks read them
+(_scan_row); the proposing loop, receiver_optimal and every logged walk
+scan the rank dicts with _next_accepting.
 Top trading cycles runs one resumable state (_Trading) in one loop (_trade):
 ttc and the rounds with one applicant absent start it from scratch, and
 _ttc_without forks the full run kept on the profile at the last checkpoint
@@ -436,19 +439,17 @@ def ipda_without(i: int, p: Profile) -> tuple[Matching, frozenset[int]]:
 def _vacancy_chain(i: int, p: Profile) -> tuple[dict[int, int], frozenset[int]]:
     """ipda_without's state and menu: the others' matching as applicant -> institution, and i's menu.
 
-    The chain scans rank rows kept on p beside _ipda_run, with its lifecycle:
-    rows[h][k] is the rank that applicant lists[h][k] gives h, len(lists) if
-    she does not list h, and -1 until a chain first reads it. A step is one
+    The chain scans p's kept rank rows (_kept_rows). A step is one
     comparison of the row with held, which holds -1 for i, so she turns
-    every seat down. An unknown entry leaves the fast loop, is filled from
-    applicant_rank and tested there. A row is allocated when a chain first
-    reaches its institution, so one menu pays only for the entries it reads.
+    every seat down. The hop loop makes no call while the entries it reads
+    are known; at an unknown one it hands the scan to _scan_row, which fills
+    the run of unknown entries from applicant_rank. A row is allocated when
+    a walk first reaches its institution, so one menu pays only for the
+    entries it reads.
     """
     _check_entry(p, i)
     lists, rank, m = p.institution_prios, p.applicant_rank, p.n_institutions
-    rows = vars(p).get("_chain_rows")
-    if rows is None:
-        rows = vars(p)["_chain_rows"] = [None] * m
+    rows = _kept_rows(p)
     mu, held, nxt = (state.copy() for state in _ipda_run(p))
     held[i] = -1
     h = mu.pop(i, None)
@@ -457,16 +458,10 @@ def _vacancy_chain(i: int, p: Profile) -> tuple[dict[int, int], frozenset[int]]:
         if row is None:
             row = rows[h] = [-1] * len(ranked)
         k, end = nxt[h], len(ranked)
-        while True:
-            while k < end and row[k] >= held[ranked[k]]:
-                k += 1
-            if k == end or row[k] >= 0:
-                break
-            d = ranked[k]
-            r = row[k] = rank[d].get(h, m)
-            if r < held[d]:
-                break
+        while k < end and row[k] >= held[ranked[k]]:
             k += 1
+        if k < end and row[k] < 0:
+            k = _scan_row(row, ranked, rank, held, h, k, m)
         if k == end:
             nxt[h] = k
             break
@@ -477,13 +472,72 @@ def _vacancy_chain(i: int, p: Profile) -> tuple[dict[int, int], frozenset[int]]:
     return mu, frozenset(h for h, row in enumerate(p.institution_rank) if row.get(i, nxt[h]) < nxt[h])
 
 
+def _kept_rows(p: Profile) -> list[list[int] | None]:
+    """The rank rows every unlogged institution-proposing walk of p's menu engines scans, kept on p beside _ipda_run
+    with its lifecycle: rows[h][k] is the rank that applicant institution_prios[h][k] gives h in p, n_institutions
+    if she does not list h, and -1 until a walk first reads it; rows[h] is None until a walk first reaches h."""
+    rows = vars(p).get("_chain_rows")
+    if rows is None:
+        rows = vars(p)["_chain_rows"] = [None] * p.n_institutions
+    return rows
+
+
+def _scan_row(row: list[int], ranked: Sequence[int], rank: RankTable, held: list[int], h: int, k: int,
+              m: int) -> int:
+    """From position k of h's list ranked, the position of the first applicant who accepts h, or len(ranked).
+
+    She accepts iff her entry of h's rank row is below her held rank. A run
+    of unknown entries (-1) is filled from rank, as rank[d].get(h, m), and
+    tested in one loop; known entries are compared in the fast loop. The
+    walks call it where their own fast loop stops at an unknown entry. The
+    one writer of filled row entries.
+    """
+    end = len(ranked)
+    while True:
+        while k < end and row[k] < 0:
+            d = ranked[k]
+            r = row[k] = rank[d].get(h, m)
+            if r < held[d]:
+                return k
+            k += 1
+        while k < end and row[k] >= held[ranked[k]]:
+            k += 1
+        if k == end or row[k] >= 0:
+            return k
+
+
+def _next_accepting_on_rows(rows: list[list[int] | None], rank: RankTable, lists: Sequence[Sequence[int]],
+                            held: list[int], nxt: list[int], a: int) -> int | None:
+    """_next_accepting, unlogged, on kept rank rows (_kept_rows), with rank the table that fills them (_scan_row).
+
+    The scan of the plan's drain and of complete_from_plan's chain phase;
+    the vacancy chain's hop runs the same steps inline, so that a warm chain
+    makes no call per hop.
+    """
+    ranked, row = lists[a], rows[a]
+    if row is None:
+        row = rows[a] = [-1] * len(ranked)
+    k, end = nxt[a], len(ranked)
+    while k < end and row[k] >= held[ranked[k]]:
+        k += 1
+    if k < end and row[k] < 0:
+        k = _scan_row(row, ranked, rank, held, a, k, len(lists))
+    if k == end:
+        nxt[a] = k
+        return None
+    nxt[a] = k + 1
+    return ranked[k]
+
+
 def _next_accepting(lists: Sequence[Sequence[int]], rank: RankTable, held: list[int], nxt: list[int], a: int,
                     log: QueryLog | None = None, holders: dict[int, int] | None = None) -> int | None:
     """Advance proposer a down lists[a] to the next receiver b who would accept it: rank[b] ranks a above held[b].
 
     The scan of the proposing loop (_propose, so apda, ipda and the plan's
-    capture run), of resume_receiver_optimal and of the plan's drain; the
-    vacancy chain has its own loop on kept rank rows. held is _propose's
+    capture run), of resume_receiver_optimal (so receiver_optimal), and of
+    the plan's drain and complete_from_plan's chain phase when they are
+    given a log; unlogged, those two scan kept rank rows
+    (_next_accepting_on_rows), as the vacancy chain does. held is _propose's
     rank list, so each step makes one dict read and one list read. An
     unlisted proposer ranks len(lists): a receiver holding more than
     len(lists), the capture receiver, takes all, with no rank lookup
@@ -570,6 +624,13 @@ def resume_receiver_optimal(
     is built from mu_d here and written with it at every rotation. mu_d and nxt are
     mutated in place, and the matching holds mu_d's (receiver, proposer) pairs.
     """
+    return _resume(p, mu_d, nxt, d_term, log, proposing, None)
+
+
+def _resume(p: Profile, mu_d: dict[int, int], nxt: list[int], d_term: set[int], log: QueryLog | None,
+            proposing: str, rows: list[list[int] | None] | None) -> Matching:
+    """resume_receiver_optimal; with rows, institutions proposing and no log, its scan reads those rank rows
+    (_next_accepting_on_rows), filled from p's applicant_rank."""
     if proposing == APPLICANT:
         lists, rank = p.applicant_prefs, p.institution_rank
     else:
@@ -579,6 +640,10 @@ def resume_receiver_optimal(
     for d, h in mu_d.items():
         held[d] = rank[d][h]
     d_term = d_term | {d for d in range(n) if d not in mu_d}
+    if rows is None:
+        scan = partial(_next_accepting, lists, rank, held, nxt, log=log)
+    else:
+        scan = partial(_next_accepting_on_rows, rows, rank, lists, held, nxt)
     v: dict[int, int] = {}  # the chain, in order: receiver -> her match when she joined
 
     def write_rotation(d: int) -> int | None:
@@ -610,7 +675,7 @@ def resume_receiver_optimal(
         h: int | None = mu_d[d_hat]
         v[d_hat] = h
         while v:
-            d = _next_accepting(lists, rank, held, nxt, h, log)
+            d = scan(h)
             if d is None or d in d_term:
                 d_term.update(v)
                 v.clear()

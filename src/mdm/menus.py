@@ -39,9 +39,13 @@ Engines and oracles:
 The plan runs the proposing loop of mdm.mechanisms (_propose) with the
 applicant in its capture slot, one more than the number of institutions in
 the loop's rank list: an institution reaching her stops there until the
-drain moves it on. The drain runs the loop's scan (_next_accepting) with
-one acceptance rule too: its rank list is the unroll DAG's gate, which holds
-each applicant's reservation, so only this module knows that rule.
+drain moves it on. The drain keeps one acceptance rule too: its scan's rank
+list is the unroll DAG's gate, which holds each applicant's reservation, so
+only this module knows that rule. Unlogged, the drain and the completion's
+chain phase scan the rank rows the vacancy chains keep on the input
+profile, as the menus do, so the plans, completions and menus of one market
+share every rank they read; given a log, they scan the rank dicts with the
+loop's scan (_next_accepting), and so log what they read.
 """
 
 from __future__ import annotations
@@ -52,9 +56,11 @@ from typing import Iterable, Sequence
 from mdm import MECHANISM_TAGS
 from mdm.market import (
     APPLICANT,
+    INSTITUTION,
     InstanceError,
     Matching,
     Profile,
+    RankTable,
     _check_entry,
     _Frozen,
     _list_problems,
@@ -64,8 +70,11 @@ from mdm.market import (
 from mdm.mechanisms import (
     CyclePolicy,
     QueryLog,
+    _kept_rows,
     _next_accepting,
+    _next_accepting_on_rows,
     _propose,
+    _resume,
     _ttc_rounds,
     _ttc_without,
     _vacancy_chain,
@@ -472,11 +481,23 @@ class MenuPlan(_Frozen):
     the matching of everyone else, pointers each institution's next unread
     priority rank, terminal the applicants already at their final match, and
     dag the unroll DAG whose sources are the menu. Treat the plan as
-    read-only; complete_from_plan copies what it mutates.
+    read-only; complete_from_plan copies what it mutates, except the rank
+    rows kept on the input profile (mdm.mechanisms._kept_rows). The plan
+    keeps a reference to them, _rows, and _spots, the positions (h, k) of
+    the applicant in the institution lists at or past the plan's pointers:
+    the only entries of hers a completion's chain phase can read. An
+    unlogged completion sets those entries to -1, so the scan fills them
+    from her list in the full profile, and puts back what they held when it
+    ends, raising or not. Two completions on plans of one market must
+    therefore not run concurrently. Neither field is in eq, hash or repr;
+    a plan built from its fields alone has none and completes on the rank
+    dicts.
     """
 
     __match_args__ = ("applicant", "market", "menu", "tentative", "dag", "terminal", "pointers")
     _hidden = ("dag", "pointers")
+    _rows: list[list[int] | None] | None = None
+    _spots: tuple[tuple[int, int], ...] = ()
 
     def __init__(self, applicant: int, market: Profile, menu: Menu, tentative: Matching, dag: UnrollDag,
                  terminal: frozenset[int], pointers: tuple[int, ...]) -> None:
@@ -506,6 +527,7 @@ def _next_interested(
     nxt: list[int],
     h: int,
     log: QueryLog | None,
+    kept: tuple[list[list[int] | None], RankTable] | None = None,
 ) -> int | None:
     """Advance h down its priority list to the next applicant who wants it, or to i's slot.
 
@@ -513,9 +535,17 @@ def _next_interested(
     fallback institution, not against her tentative match: if the chain
     through her is unrolled, the fallback is what she ends up with. The scan
     takes the DAG's gate as its rank list, built from mu on the first call.
+    Given kept, it compares the gate with rank rows, not the rank dicts:
+    kept holds the rows kept on the profile p whose copy with i's list
+    cleared is q, and p's applicant_rank, which fills them. Every other applicant ranks alike in p
+    and q, and i's entries, at most n_institutions, pass her gate entry of
+    n_institutions + 1 as any offer does.
     """
     gate = dag.gate if dag.gate is not None else dag.open_gate(q, mu)
-    return _next_accepting(q.institution_prios, q.applicant_rank, gate, nxt, h, log)
+    if kept is None:
+        return _next_accepting(q.institution_prios, q.applicant_rank, gate, nxt, h, log)
+    rows, rank = kept
+    return _next_accepting_on_rows(rows, rank, q.institution_prios, gate, nxt, h)
 
 
 def menu_da_plan(i: int, p: Profile, log: QueryLog | None = None) -> MenuPlan:
@@ -527,11 +557,14 @@ def menu_da_plan(i: int, p: Profile, log: QueryLog | None = None) -> MenuPlan:
     recorded in the unroll DAG rather than final: each displaced applicant
     gets a node remembering the match she falls back to if i's eventual
     choice routes elsewhere. Every institution that reaches i's slot joins
-    the menu. The resulting menu equals menu_da(i, p).
+    the menu. The resulting menu equals menu_da(i, p). Unlogged, the drain
+    scans p's kept rank rows (_next_interested).
     """
     _check_entry(p, i, unit=True)
     q = p.with_prefs(i, ())
     mu, nxt, captured = _hold_run(q, i, log)
+    rows = _kept_rows(p)
+    kept = (rows, p.applicant_rank) if log is None else None
     menu: set[int] = set(captured)
     dag = UnrollDag(i)
 
@@ -542,7 +575,7 @@ def menu_da_plan(i: int, p: Profile, log: QueryLog | None = None) -> MenuPlan:
         dag.check(mu, frontier, h0, menu)
         h: int | None = h0
         while h is not None:
-            d = _next_interested(q, i, mu, dag, nxt, h, log)
+            d = _next_interested(q, i, mu, dag, nxt, h, log, kept)
             if d is None:
                 h = None
             elif d == i:
@@ -555,7 +588,7 @@ def menu_da_plan(i: int, p: Profile, log: QueryLog | None = None) -> MenuPlan:
     assert menu == {node[1] for node in dag.nodes if node[0] == i}
     tentative = Matching.of(mu)
     unmatched = frozenset(d for d in range(q.n_applicants) if d != i and d not in mu)
-    return MenuPlan(
+    plan = MenuPlan(
         applicant=i,
         market=q,
         menu=frozenset(menu),
@@ -564,6 +597,14 @@ def menu_da_plan(i: int, p: Profile, log: QueryLog | None = None) -> MenuPlan:
         terminal=unmatched,
         pointers=tuple(nxt),
     )
+    spots = []  # read off the lists: institution_rank would cost a fresh profile a table build
+    for h, ranked in enumerate(q.institution_prios):
+        try:
+            spots.append((h, ranked.index(i, nxt[h])))
+        except ValueError:
+            pass
+    vars(plan).update(_rows=rows, _spots=tuple(spots))
+    return plan
 
 
 def _collide(
@@ -622,7 +663,9 @@ def complete_from_plan(plan: MenuPlan, prefs: Sequence[int], log: QueryLog | Non
     Picks the list's highest menu institution (or none), unrolls the chain
     hanging from that pick so every applicant on it falls back to her
     recorded match, and lets the remaining institutions keep proposing to
-    completion. Equals apda on the full profile.
+    completion. Equals apda on the full profile. Unlogged, the chain phase
+    scans the rank rows kept on the plan's input profile, with the
+    applicant's entries set aside for the run (MenuPlan).
     """
     i = plan.applicant
     q = plan.market
@@ -641,4 +684,18 @@ def complete_from_plan(plan: MenuPlan, prefs: Sequence[int], log: QueryLog | Non
             else:
                 mu[d] = h
             d_term.add(d)
-    return resume_receiver_optimal(full, mu, nxt, d_term, log)
+    rows = plan._rows
+    if log is not None or rows is None:
+        return resume_receiver_optimal(full, mu, nxt, d_term, log)
+    saved = []
+    for h, k in plan._spots:
+        row = rows[h]
+        if row is None:
+            row = rows[h] = [-1] * len(q.institution_prios[h])
+        saved.append((row, k, row[k]))
+        row[k] = -1
+    try:
+        return _resume(full, mu, nxt, d_term, None, INSTITUTION, rows)
+    finally:
+        for row, k, r in saved:
+            row[k] = r

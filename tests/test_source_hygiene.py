@@ -1,6 +1,7 @@
 """Source hygiene beside the 120-column check: no module imports a name it never reads, the integer rule is
 never spelled with isinstance, one function scans institution lists, one builds a pool of free proposers, one
-expands a market to unit capacities, none transposes a market, and one names the capture slot."""
+expands a market to unit capacities, none transposes a market, one names the capture slot, and one fills the kept
+rank rows."""
 
 import ast
 from pathlib import Path
@@ -260,3 +261,30 @@ def test_the_scan_has_one_acceptance_rule_and_no_dag_parameters():
                 for n in ast.walk(node))
     ]
     assert naming == []
+
+
+def rank_row_fills(tree: ast.Module) -> list[str]:
+    """Functions (nested ones too) that store a read of a rank table, `table[d].get(...)`, into an entry of a list
+    they hold in a local name: each fills rank rows. The unroll DAG stores such reads in its gate, an attribute."""
+    return [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            isinstance(n, ast.Assign) and isinstance(n.value, ast.Call) and getattr(n.value.func, "attr", None) == "get"
+            and isinstance(n.value.func.value, ast.Subscript)
+            and any(isinstance(t, ast.Subscript) and isinstance(t.value, ast.Name) for t in n.targets)
+            for n in ast.walk(node)
+        )
+    ]
+
+
+def test_one_function_fills_the_kept_rank_rows():
+    # The vacancy chain, the plan's drain and the completion's chain phase scan one set of rows kept on the market;
+    # a completion only sets her entries aside and puts them back, so every entry is filled by the one row scan.
+    found = {
+        path.name: names
+        for path in sorted(SRC.glob("*.py"))
+        if (names := rank_row_fills(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert found == {"mechanisms.py": ["_scan_row"]}
