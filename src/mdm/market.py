@@ -158,7 +158,11 @@ class Profile(_Frozen):
     _ipda_run, _ttc_run), and the menu engines' unlogged institution-
     proposing walks (vacancy chains, plan drains, completions) their rank
     rows (_chain_rows), which hold this profile's ranks outside a running
-    completion: derived profiles start without them, pickling drops them,
+    completion, and the vacancy chains the kept acceptors they test
+    (_chain_acceptors: per institution, the positions at or past the kept
+    run's pointer whose applicant accepts it under the kept run, known up
+    to a mark; a chain's held only falls, so any other is turned down in
+    every chain): derived profiles start without them, pickling drops them,
     == and hash ignore them, and they hold no reference to the profile, so
     it is freed without the cycle collector.
     """

@@ -10,8 +10,9 @@ vacancy chain of one applicant's seat (Blum, Roth & Rothblum 1997). Every
 unlogged institution-proposing walk of the menu engines (the vacancy chain,
 the plan's drain, the chain phase of a completion) scans one set of rank
 rows kept beside that state (_kept_rows), filled as walks read them
-(_scan_row); the proposing loop, receiver_optimal and every logged walk
-scan the rank dicts with _next_accepting.
+(_scan_row), and the vacancy chain tests only the entries that accept under
+the kept run (_kept_acceptors); the proposing loop, receiver_optimal and
+every logged walk scan the rank dicts with _next_accepting.
 Top trading cycles runs one resumable state (_Trading) in one loop (_trade):
 ttc and the rounds with one applicant absent start it from scratch, and
 _ttc_without forks the full run kept on the profile at the last checkpoint
@@ -439,32 +440,52 @@ def ipda_without(i: int, p: Profile) -> tuple[Matching, frozenset[int]]:
 def _vacancy_chain(i: int, p: Profile) -> tuple[dict[int, int], frozenset[int]]:
     """ipda_without's state and menu: the others' matching as applicant -> institution, and i's menu.
 
-    The chain scans p's kept rank rows (_kept_rows). A step is one
-    comparison of the row with held, which holds -1 for i, so she turns
-    every seat down. The hop loop makes no call while the entries it reads
-    are known; at an unknown one it hands the scan to _scan_row, which fills
-    the run of unknown entries from applicant_rank. A row is allocated when
-    a walk first reaches its institution, so one menu pays only for the
-    entries it reads.
+    The chain scans p's kept rank rows (_kept_rows) and tests only the kept
+    acceptors of each institution it reaches (_kept_acceptors): the
+    positions at or past the kept run's pointer whose applicant would accept
+    it under the kept run. In a chain every applicant who accepts moves up,
+    and held holds -1 for i, so held only falls from the kept run's: whoever
+    turns h down under the kept run turns it down in every chain, and the
+    first acceptor at or past h's pointer is the first kept acceptor there
+    that accepts. A hop bisects the known ones from the pointer; past them
+    it extends the known range with _scan_row under the kept run's held,
+    recording each kept acceptor it stops at, until one accepts under the
+    chain's held. So a chain fills the entries a scan from the pointer would,
+    and also i's own entry where it extends the record past her (a scan
+    under held steps over her unknown entry unread), and a warm chain skips
+    every kept rejecter. A row is allocated when a walk first reaches its
+    institution, so one menu pays only for the entries it reads.
     """
     _check_entry(p, i)
     lists, rank, m = p.institution_prios, p.applicant_rank, p.n_institutions
-    rows = _kept_rows(p)
-    mu, held, nxt = (state.copy() for state in _ipda_run(p))
+    rows, (found, seen) = _kept_rows(p), _kept_acceptors(p)
+    run = _ipda_run(p)
+    kept_held = run[1]
+    mu, held, nxt = (state.copy() for state in run)
     held[i] = -1
     h = mu.pop(i, None)
     while h is not None:
-        ranked, row = lists[h], rows[h]
+        ranked, row, known = lists[h], rows[h], found[h]
         if row is None:
             row = rows[h] = [-1] * len(ranked)
-        k, end = nxt[h], len(ranked)
-        while k < end and row[k] >= held[ranked[k]]:
-            k += 1
-        if k < end and row[k] < 0:
-            k = _scan_row(row, ranked, rank, held, h, k, m)
-        if k == end:
-            nxt[h] = k
-            break
+        j, stop = bisect.bisect_left(known, nxt[h]), len(known)
+        while j < stop and row[known[j]] >= held[ranked[known[j]]]:
+            j += 1
+        if j < stop:
+            k = known[j]
+        else:
+            k, end = seen[h], len(ranked)
+            while k < end:
+                k = _scan_row(row, ranked, rank, kept_held, h, k, m)
+                if k < end:
+                    known.append(k)
+                    if row[k] < held[ranked[k]]:
+                        break
+                    k += 1
+            seen[h] = min(k + 1, end)
+            if k == end:
+                nxt[h] = k
+                break
         nxt[h] = k + 1
         d = ranked[k]
         held[d] = row[k]
@@ -475,11 +496,24 @@ def _vacancy_chain(i: int, p: Profile) -> tuple[dict[int, int], frozenset[int]]:
 def _kept_rows(p: Profile) -> list[list[int] | None]:
     """The rank rows every unlogged institution-proposing walk of p's menu engines scans, kept on p beside _ipda_run
     with its lifecycle: rows[h][k] is the rank that applicant institution_prios[h][k] gives h in p, n_institutions
-    if she does not list h, and -1 until a walk first reads it; rows[h] is None until a walk first reaches h."""
+    if she does not list h, and -1 until a walk first reads it; rows[h] is None until a walk first reaches h. The
+    vacancy chains also keep which entries at or past the kept run's pointers are kept acceptors (_kept_acceptors): a
+    rejection under the kept run's held is final in every chain, since a chain's held only falls."""
     rows = vars(p).get("_chain_rows")
     if rows is None:
         rows = vars(p)["_chain_rows"] = [None] * p.n_institutions
     return rows
+
+
+def _kept_acceptors(p: Profile) -> tuple[list[list[int]], list[int]]:
+    """The kept acceptors the vacancy chains of p test (_vacancy_chain), kept on p beside _kept_rows with its
+    lifecycle: found[h] holds, ascending, the positions k at or past h's pointer in the kept run (_ipda_run) whose
+    applicant d = institution_prios[h][k] accepts h under the kept run, rows[h][k] < held[d]; every other position
+    from the pointer up to seen[h] is a kept rejecter, and none past seen[h] is known yet."""
+    kept = vars(p).get("_chain_acceptors")
+    if kept is None:
+        kept = vars(p)["_chain_acceptors"] = [[] for _ in range(p.n_institutions)], _ipda_run(p)[2].copy()
+    return kept
 
 
 def _scan_row(row: list[int], ranked: Sequence[int], rank: RankTable, held: list[int], h: int, k: int,

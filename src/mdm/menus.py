@@ -19,7 +19,13 @@ Engines and oracles:
   menu alone is taken (_vacancy_chain), with no Matching of the others.
   The chains scan rank rows kept on the profile beside the run, each entry
   filled from the rank dicts the first time a chain reads it, so the menus
-  of one market also share every rank they read.
+  of one market also share every rank they read. Beside the rows each
+  institution keeps its kept acceptors: the entries at or past the run's
+  pointer whose applicant would take it under the kept run. In a chain
+  every applicant who accepts moves up and the excluded one turns every
+  offer down, so an applicant who turns an institution down under the kept
+  run turns it down in every chain; a chain tests only the kept acceptors,
+  and the first chain to pass an entry records whether it is one.
   menu_da_from_matching reads the menu off the matching instead, with
   menu_from_matching (imported from mdm.market, beside blocking_pairs): a
   cross-check for verify.

@@ -50,6 +50,7 @@ from mdm.mechanisms import (
     collapse_matching,
     expand_many_to_one,
     ipda,
+    ipda_without,
     receiver_optimal,
     ttc,
 )
@@ -318,6 +319,13 @@ def _plan_trial(size: int, seed: int, t: int) -> list[Failure]:
             p,
             f"plan menu for applicant {i} equals the deferred-acceptance menu {sorted(menu_da(i, p))}",
             f"plan computed {sorted(plan.menu)}",
+        ))
+    others = ipda_without(i, p)[0]
+    if plan.tentative != others:
+        problems.append((
+            p,
+            f"plan tentative matching for applicant {i} equals the run without her {sorted(others.pairs)}",
+            f"plan computed {sorted(plan.tentative.pairs)}",
         ))
     true = p.applicant_prefs[i]
     rng = random.Random((seed + t) ^ 0x7A7A)
