@@ -266,12 +266,14 @@ class UnrollDag:
     most one node) are enforced by the mutators and asserted by check.
 
     The DAG indexes its nodes by fallback institution (by_fallback), counts
-    its sources, and remembers the nodes each mutation touches (for a removed
-    node, also its former predecessors and successor) and the applicants
+    its sources, and keeps a journal of its writes since the last check: the
+    nodes _insert made, the edges add_edge drew, each node remove_chain
+    dropped with its former predecessors and successor, and the applicants
     whose tentative match move wrote. The check after each step of the drain
-    covers only those nodes and applicants, plus the frontier. The check at
-    the end of each drained chain covers every node and index entry, and
-    rebuilds the fallback index, the source count and the gate.
+    replays the journal, testing each write for the rules it can break, then
+    checks the node count and the frontier. The check at the end of each
+    drained chain covers every node and index entry, and rebuilds the
+    fallback index, the source count and the gate.
 
     The gate is the drain's rank list for the scan: per applicant, the rank
     of her reservation, the fallback of her node if she has one, else her
@@ -288,8 +290,11 @@ class UnrollDag:
         self.node_of: dict[int, DagNode] = {}
         self.by_fallback: dict[int | None, set[DagNode]] = {}
         self.sources = 0
-        self._touched: set[DagNode] = set()
-        self._moved: set[int] = set()
+        # The journal of writes since the last check, which check empties.
+        self._new: list[DagNode] = []
+        self._edges: list[tuple[DagNode, DagNode]] = []
+        self._dropped: list[tuple[DagNode, Iterable[DagNode], DagNode | None]] = []  # (node, preds, successor)
+        self._moved: list[int] = []
         self.gate: list[int] | None = None  # the drain's rank list, built on its first scan (open_gate)
         self._rank, self._m, self._mu = (), 0, {}  # what the gate is read from, set by open_gate
 
@@ -300,7 +305,7 @@ class UnrollDag:
     def _insert(self, node: DagNode) -> DagNode:
         self.nodes.add(node)
         self.by_fallback.setdefault(node[1], set()).add(node)
-        self._touched.add(node)
+        self._new.append(node)
         return node
 
     def add_source(self, h: int) -> DagNode:
@@ -328,13 +333,12 @@ class UnrollDag:
             raise AssertionError(f"edge into source {v} in {self!r}")
         self.out[u] = v
         self.preds.setdefault(v, set()).add(u)
-        self._touched.add(u)
-        self._touched.add(v)
+        self._edges.append((u, v))
 
     def move(self, mu: dict[int, int], d: int, h: int) -> None:
-        """Set applicant d's tentative match to h and mark her for the next check."""
+        """Set applicant d's tentative match to h and journal her for the next check."""
         mu[d] = h
-        self._moved.add(d)
+        self._moved.append(d)
         if self.gate is not None and d not in self.node_of:
             self.gate[d] = self._rank[d][h]
 
@@ -355,16 +359,14 @@ class UnrollDag:
             chain.append(succ)
 
     def remove_chain(self, chain: list[DagNode]) -> None:
-        touched = self._touched
         for node in chain:
-            for u in self.preds.pop(node, set()):
+            us = self.preds.pop(node, ())
+            for u in us:
                 if self.out.get(u) == node:
                     del self.out[u]
-                touched.add(u)
             succ = self.out.pop(node, None)
             if succ is not None:
                 self.preds[succ].discard(node)
-                touched.add(succ)
             self.nodes.remove(node)
             group = self.by_fallback[node[1]]
             group.discard(node)
@@ -376,7 +378,7 @@ class UnrollDag:
                 del self.node_of[node[0]]
                 if self.gate is not None:
                     self.gate[node[0]] = self._rank[node[0]].get(self._mu.get(node[0]), self._m)
-            touched.add(node)
+            self._dropped.append((node, us, succ))
 
     def open_gate(self, q: Profile, mu: dict[int, int]) -> list[int]:
         """Build the gate on q from node_of and mu; add_node, move and remove_chain keep it current from then on."""
@@ -439,24 +441,56 @@ class UnrollDag:
     ) -> None:
         """Assert the structural rules against the current tentative state.
 
-        With a proposer and a frontier, check what changed since the last
-        check, and that the frontier is exactly the proposer's nodes and has
-        no out-edges; otherwise check the whole DAG (see the class docstring).
+        With a proposer and a frontier, replay the journal of the writes
+        since the last check, testing each write only for the rules it can
+        break, then check that the frontier is exactly the proposer's nodes
+        and has no out-edges. Otherwise check the whole DAG (see the class
+        docstring). Either way the journal is emptied.
+
+        The replay tests each write with one condition and, only when that
+        fails, runs the rules of the nodes involved (_check_node), which
+        find and report what broke:
+        - an edge u->v: out holds it, u is among v's predecessors, and v's
+          applicant holds u's fallback;
+        - a new node: it has a predecessor, its node index entry and its
+          fallback index entry (so a new source, which has no node index
+          entry, always runs _check_node);
+        - a dropped node: no index holds it, no former predecessor still
+          points at it, and its successor no longer lists it and, if still
+          in the DAG, has a predecessor left;
+        - an applicant move wrote: the rules of her node, skipped when the
+          node is new since the last check. The skip relies on predecessor
+          entries being written only by add_edge: every edge into a new
+          node is then a journalled edge, already tested against mu as move
+          left it.
         """
         step = proposer is not None and frontier is not None
+        new, edges, dropped, moved = self._new, self._edges, self._dropped, self._moved
+        self._new, self._edges, self._dropped, self._moved = [], [], [], []
         if step:
-            todo = self._touched
-            for d in self._moved:
-                node = self.node_of.get(d)
-                if node is not None:
-                    todo.add(node)
+            nodes, out, preds, node_of = self.nodes, self.out, self.preds, self.node_of
+            for u, v in edges:
+                if out.get(u) != v or u not in preds.get(v, ()) or mu.get(v[0]) != u[1]:
+                    self._check_node(u, mu, menu)
+                    self._check_node(v, mu, menu)
+            for x in new:
+                if not preds.get(x) or node_of.get(x[0]) != x or x not in self.by_fallback.get(x[1], ()):
+                    self._check_node(x, mu, menu)
+            for x, us, succ in dropped:
+                if node_of.get(x[0]) == x or x in out or x in preds or x in self.by_fallback.get(x[1], ()):
+                    self._check_node(x, mu, menu)
+                for u in us:
+                    if out.get(u) == x:
+                        self._check_node(u, mu, menu)
+                if succ is not None and (x in preds.get(succ, ()) or succ in nodes and not preds.get(succ)):
+                    self._check_node(succ, mu, menu)
+            for d in moved:
+                node = node_of.get(d)
+                if node is not None and node not in new:
+                    self._check_node(node, mu, menu)
         else:
-            todo = self.nodes | self.out.keys() | self.preds.keys()
-        self._touched = set()
-        self._moved.clear()
-        for x in todo:
-            self._check_node(x, mu, menu)
-        if not step:
+            for x in self.nodes | self.out.keys() | self.preds.keys():
+                self._check_node(x, mu, menu)
             for d, node in self.node_of.items():
                 if node not in self.nodes or node[0] != d:
                     self._fail(f"node index broken for applicant {d}")

@@ -1,9 +1,11 @@
 """The per-step unroll-DAG check against the full check.
 
 menu_da_plan checks the DAG after every step of its drain loop, but only
-where the step changed it: the nodes it touched, the applicant whose
-tentative match it moved, and the frontier. Every node is checked at the
-end of each drained chain. These tests run the full check and the full
+where the step wrote: the DAG journals its writes (new nodes, edges, dropped
+nodes with their former predecessors and successors, moved applicants), and
+the step check replays the journal, testing each write for the rules it can
+break, then checks the node count and the frontier. Every node is checked at
+the end of each drained chain. These tests run the full check and the full
 rescan of oracles.py after every step as well and require the same plans;
 require faults injected into a copy of the drain loop, or into the DAG's
 methods, to be caught at the same step and for the same reason as by the
