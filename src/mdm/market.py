@@ -154,17 +154,12 @@ class Profile(_Frozen):
     seat per institution. Profiles derived through ``_derive`` carry their
     parent's pass, share the rank tables that did not change, and take
     unit_capacity from a parent with the same capacities. The mechanisms
-    keep their full runs on the instance the same way (mdm.mechanisms:
-    _ipda_run, _ttc_run), and the menu engines' unlogged institution-
-    proposing walks (vacancy chains, plan drains, completions) their rank
-    rows (_chain_rows), which hold this profile's ranks outside a running
-    completion, and the vacancy chains the kept acceptors they test
-    (_chain_acceptors: per institution, the positions at or past the kept
-    run's pointer whose applicant accepts it under the kept run, known up
-    to a mark; a chain's held only falls, so any other is turned down in
-    every chain): derived profiles start without them, pickling drops them,
-    == and hash ignore them, and they hold no reference to the profile, so
-    it is freed without the cycle collector.
+    keep state on the instance the same way, under keys that mdm.mechanisms
+    defines and describes (their full runs, the menu engines' rank rows and
+    kept acceptors). One lifecycle rule covers all of it: derived profiles
+    start without it, pickling drops it, == and hash ignore it, and it holds
+    no reference to the profile, so the profile is freed without the cycle
+    collector.
     """
 
     __match_args__ = ("applicant_names", "institution_names", "applicant_prefs", "institution_prios", "capacities")

@@ -523,8 +523,9 @@ def _scan_row(row: list[int], ranked: Sequence[int], rank: RankTable, held: list
     She accepts iff her entry of h's rank row is below her held rank. A run
     of unknown entries (-1) is filled from rank, as rank[d].get(h, m), and
     tested in one loop; known entries are compared in the fast loop. The
-    walks call it where their own fast loop stops at an unknown entry. The
-    one writer of filled row entries.
+    one hop over kept rows: the plan's drain and the completion's chain
+    phase scan with it alone (_next_accepting_on_rows), and a vacancy chain
+    extends its kept acceptors with it. The one writer of filled row entries.
     """
     end = len(ranked)
     while True:
@@ -544,19 +545,15 @@ def _next_accepting_on_rows(rows: list[list[int] | None], rank: RankTable, lists
                             held: list[int], nxt: list[int], a: int) -> int | None:
     """_next_accepting, unlogged, on kept rank rows (_kept_rows), with rank the table that fills them (_scan_row).
 
-    The scan of the plan's drain and of complete_from_plan's chain phase;
-    the vacancy chain's hop runs the same steps inline, so that a warm chain
-    makes no call per hop.
+    The scan of the plan's drain and of complete_from_plan's chain phase: one
+    _scan_row from the pointer. The vacancy chain hops over its kept
+    acceptors instead (_vacancy_chain).
     """
     ranked, row = lists[a], rows[a]
     if row is None:
         row = rows[a] = [-1] * len(ranked)
-    k, end = nxt[a], len(ranked)
-    while k < end and row[k] >= held[ranked[k]]:
-        k += 1
-    if k < end and row[k] < 0:
-        k = _scan_row(row, ranked, rank, held, a, k, len(lists))
-    if k == end:
+    k = _scan_row(row, ranked, rank, held, a, nxt[a], len(lists))
+    if k == len(ranked):
         nxt[a] = k
         return None
     nxt[a] = k + 1

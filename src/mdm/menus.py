@@ -265,15 +265,16 @@ class UnrollDag:
     sources only for the designated applicant, every other applicant in at
     most one node) are enforced by the mutators and asserted by check.
 
-    The DAG indexes its nodes by fallback institution (by_fallback), counts
-    its sources, and keeps a journal of its writes since the last check: the
-    nodes _insert made, the edges add_edge drew, each node remove_chain
-    dropped with its former predecessors and successor, and the applicants
-    whose tentative match move wrote. The check after each step of the drain
-    replays the journal, testing each write for the rules it can break, then
-    checks the node count and the frontier. The check at the end of each
-    drained chain covers every node and index entry, and rebuilds the
-    fallback index, the source count and the gate.
+    The DAG indexes its nodes by fallback institution (by_fallback; the
+    proposer's entry is the drain's frontier), counts its sources, and keeps
+    a journal of its writes since the last check: the nodes _insert made,
+    the edges add_edge drew, each node remove_chain dropped with its former
+    predecessors and successor, and the applicants whose tentative match
+    move wrote. The check after each step of the drain replays the journal,
+    testing each write for the rules it can break, then checks the node
+    count and the frontier. The check at the end of each drained chain
+    covers every node and index entry, and rebuilds the fallback index, the
+    source count and the gate.
 
     The gate is the drain's rank list for the scan: per applicant, the rank
     of her reservation, the fallback of her node if she has one, else her
@@ -444,8 +445,9 @@ class UnrollDag:
         With a proposer and a frontier, replay the journal of the writes
         since the last check, testing each write only for the rules it can
         break, then check that the frontier is exactly the proposer's nodes
-        and has no out-edges. Otherwise check the whole DAG (see the class
-        docstring). Either way the journal is emptied.
+        and has no out-edges; the drain passes the proposer's fallback index
+        entry, so only direct callers can fail the first. Otherwise check the
+        whole DAG (see the class docstring). Either way the journal is emptied.
 
         The replay tests each write with one condition and, only when that
         fails, runs the rules of the nodes involved (_check_node), which
@@ -596,7 +598,8 @@ def menu_da_plan(i: int, p: Profile, log: QueryLog | None = None) -> MenuPlan:
     each proposing below i's slot. Rejection chains triggered this way are
     recorded in the unroll DAG rather than final: each displaced applicant
     gets a node remembering the match she falls back to if i's eventual
-    choice routes elsewhere. Every institution that reaches i's slot joins
+    choice routes elsewhere. A proposer's frontier is its entry in the
+    DAG's fallback index. Every institution that reaches i's slot joins
     the menu. The resulting menu equals menu_da(i, p). Unlogged, the drain
     scans p's kept rank rows (_next_interested).
     """
@@ -608,11 +611,9 @@ def menu_da_plan(i: int, p: Profile, log: QueryLog | None = None) -> MenuPlan:
     menu: set[int] = set(captured)
     dag = UnrollDag(i)
 
-    pending = list(reversed(captured))
-    while pending:
-        h0 = pending.pop()
-        frontier = {dag.add_source(h0)}
-        dag.check(mu, frontier, h0, menu)
+    for h0 in captured:
+        dag.add_source(h0)
+        dag.check(mu, dag.by_fallback[h0], h0, menu)
         h: int | None = h0
         while h is not None:
             d = _next_interested(q, i, mu, dag, nxt, h, log, kept)
@@ -620,10 +621,10 @@ def menu_da_plan(i: int, p: Profile, log: QueryLog | None = None) -> MenuPlan:
                 h = None
             elif d == i:
                 menu.add(h)
-                frontier.add(dag.add_source(h))
+                dag.add_source(h)
             else:
-                h = _collide(q, mu, dag, frontier, d, h)
-            dag.check(mu, frontier if h is not None else None, h, menu)
+                h = _collide(q, mu, dag, d, h)
+            dag.check(mu, None if h is None else dag.by_fallback.get(h, set()), h, menu)
 
     assert menu == {node[1] for node in dag.nodes if node[0] == i}
     tentative = Matching.of(mu)
@@ -647,14 +648,7 @@ def menu_da_plan(i: int, p: Profile, log: QueryLog | None = None) -> MenuPlan:
     return plan
 
 
-def _collide(
-    q: Profile,
-    mu: dict[int, int],
-    dag: UnrollDag,
-    frontier: set[DagNode],
-    d: int,
-    h: int,
-) -> int:
+def _collide(q: Profile, mu: dict[int, int], dag: UnrollDag, d: int, h: int) -> int:
     """Applicant d, who prefers h to her reservation, accepts h; returns the next proposer.
 
     Her old node, if she has one, and the chain hanging from it by sole
@@ -665,18 +659,16 @@ def _collide(
     prefers h. If she keeps her match, h keeps proposing; if she moves to
     h, her old match does.
 
-    The dropped chain may swallow frontier nodes; those are pruned before
-    new edges are drawn from the frontier. When the whole frontier is
-    swallowed, every route that could undo d's move runs through her own
+    The frontier is h's entry in the fallback index, so the dropped chain
+    leaves it before new edges are drawn from it. When the whole frontier
+    is swallowed, every route that could undo d's move runs through her own
     dropped node, so she keeps the better match under every pick and gets
     no replacement node at all.
     """
     p1 = dag.node_of.get(d)
     preds1 = dag.preds.get(p1, ())
     if p1 is not None:
-        removed = dag.unique_pred_chain(p1)
-        dag.remove_chain(removed)
-        frontier.difference_update(removed)
+        dag.remove_chain(dag.unique_pred_chain(p1))
     cur = mu.get(d)
     if cur == h:
         raise AssertionError(f"institution {h} proposed to its own match {d}")
@@ -684,15 +676,11 @@ def _collide(
         node = dag.add_node(d, h)
         for u in preds1:
             dag.add_edge(u, node)
-        frontier.add(node)
         return h
-    if frontier:
+    if dag.by_fallback.get(h):
         node = dag.add_node(d, cur)
-        for u in frontier:
+        for u in dag.by_fallback[h]:
             dag.add_edge(u, node)
-        frontier.clear()
-        frontier.add(node)
-    frontier.update(preds1)
     dag.move(mu, d, h)
     return cur
 

@@ -1,7 +1,7 @@
 """Source hygiene beside the 120-column check: no module imports a name it never reads, the integer rule is
 never spelled with isinstance, one function scans institution lists, one builds a pool of free proposers, one
-expands a market to unit capacities, none transposes a market, one names the capture slot, and one fills the kept
-rank rows."""
+expands a market to unit capacities, none transposes a market, one names the capture slot, one fills the kept
+rank rows, and the plan's drain keeps no frontier beside the unroll DAG's fallback index."""
 
 import ast
 from pathlib import Path
@@ -77,7 +77,8 @@ def institution_read_lines(tree: ast.Module) -> list[int]:
 
 
 def test_one_function_logs_an_institution_side_read():
-    # The capture run, the plan's drain and the chain phase share one scan down an institution's list.
+    # The capture run shares one scan down an institution's list with the plan's drain and the chain phase when they
+    # are logged; unlogged, those two scan the kept rank rows.
     found = {
         path.name: lines
         for path in sorted(SRC.glob("*.py"))
@@ -288,3 +289,11 @@ def test_one_function_fills_the_kept_rank_rows():
         if (names := rank_row_fills(ast.parse(path.read_text(encoding="utf-8"))))
     }
     assert found == {"mechanisms.py": ["_scan_row"]}
+
+
+def test_the_drain_keeps_no_frontier_beside_the_fallback_index():
+    # The proposer's frontier is its entry in the unroll DAG's fallback index; a second record of it in the drain or in
+    # a collision would have to be kept equal to the index by hand.
+    tree = ast.parse((SRC / "menus.py").read_text(encoding="utf-8"))
+    assert {"menu_da_plan", "_collide"} <= {top.name for top in tree.body if isinstance(top, ast.FunctionDef)}
+    assert [name for name in functions_naming(tree, "frontier") if name in ("menu_da_plan", "_collide")] == []
